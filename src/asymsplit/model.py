@@ -41,15 +41,18 @@ def he_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 #   shapes()/buffer_shapes() declare parameter and buffer arrays;
 #   init(rng, params) / init_buffers(buffers) fill them;
 #   forward(params, buffers, x, train) -> (y, cache);
-#   backward(params, cache, gy, grads) -> gx, accumulating into grads;
+#   backward(params, cache, gy, grads) -> gx, accumulating into grads
+#     (gx is None for a Conv2d or ResBlock built with input_grad=False,
+#     whose input is a leaf of the graph);
 #   macs(in_shape) -> (multiply-accumulate count, out_shape).
 # ---------------------------------------------------------------------------
 
 class Conv2d:
-    def __init__(self, prefix, in_ch, out_ch, k, stride=1, padding=0):
+    def __init__(self, prefix, in_ch, out_ch, k, stride=1, padding=0, input_grad=True):
         self.prefix = prefix
         self.in_ch, self.out_ch, self.k = in_ch, out_ch, k
         self.stride, self.padding = stride, padding
+        self.input_grad = input_grad
         self.key = f"{prefix}/w"
 
     def shapes(self):
@@ -68,7 +71,9 @@ class Conv2d:
         return y, x
 
     def backward(self, params, cache, gy, grads):
-        gx, gw = conv2d_backward_batch(gy, cache, params[self.key], self.stride, self.padding)
+        gx, gw = conv2d_backward_batch(
+            gy, cache, params[self.key], self.stride, self.padding, self.input_grad
+        )
         grads[self.key] = grads.get(self.key, 0) + gw
         return gx
 
@@ -298,25 +303,30 @@ class Sequential:
 
 
 class ResBlock:
-    """Two k x k convs with a skip; convs are dense or factorized (q set)."""
+    """Two k x k convs with a skip; convs are dense or factorized (q set).
 
-    def __init__(self, prefix, in_ch, n, k, stride, q=None, normalize=True):
+    With ``input_grad=False`` backward returns None; dense convs that read
+    the block's input (conv1 and proj) then skip their input gradient.
+    """
+
+    def __init__(self, prefix, in_ch, n, k, stride, q=None, normalize=True, input_grad=True):
         self.prefix = prefix
+        self.input_grad = input_grad
         pad = k // 2
 
-        def conv(name, cin, cout, kk, s, p):
+        def conv(name, cin, cout, kk, s, p, ig=True):
             if q is None or kk == 1:
-                return Conv2d(name, cin, cout, kk, s, p)
+                return Conv2d(name, cin, cout, kk, s, p, ig)
             return LowRankConv2d(name, cin, cout, kk, q, s, p)
 
-        self.conv1 = conv(f"{prefix}/conv1", in_ch, n, k, stride, pad)
+        self.conv1 = conv(f"{prefix}/conv1", in_ch, n, k, stride, pad, input_grad)
         self.norm1 = ChannelNorm(f"{prefix}/norm1", n) if normalize else None
         self.relu1 = ReLU()
         self.conv2 = conv(f"{prefix}/conv2", n, n, k, 1, pad)
         self.norm2 = ChannelNorm(f"{prefix}/norm2", n) if normalize else None
         self.relu2 = ReLU()
         if in_ch != n or stride != 1:
-            self.proj = Conv2d(f"{prefix}/proj", in_ch, n, 1, stride, 0)
+            self.proj = Conv2d(f"{prefix}/proj", in_ch, n, 1, stride, 0, input_grad)
             self.proj_norm = ChannelNorm(f"{prefix}/proj_norm", n) if normalize else None
         else:
             self.proj = None
@@ -382,10 +392,10 @@ class ResBlock:
         if self.proj is not None:
             if self.proj_norm is not None:
                 gskip = self.proj_norm.backward(params, np_cache, gskip, grads)
-            gx = gx + self.proj.backward(params, cp, gskip, grads)
-        else:
-            gx = gx + gskip
-        return gx
+            gskip = self.proj.backward(params, cp, gskip, grads)
+        if not self.input_grad:
+            return None
+        return gx + gskip
 
     def macs(self, in_shape):
         total, shape = self.conv1.macs(in_shape)
@@ -457,7 +467,9 @@ def default_spec(r: int = 4, num_classes: int = 4, alpha: float = 1.0,
     )
 
 
-def _build_branch(prefix, blocks, in_ch, num_classes, normalize, lowrank):
+def _build_branch(prefix, blocks, in_ch, num_classes, normalize, lowrank, input_grad):
+    """A branch of ResBlocks, pooling and a linear head; ``input_grad`` says
+    whether backward forms the gradient of the branch input."""
     layers = []
     ch = in_ch
     for i, blk in enumerate(blocks):
@@ -465,6 +477,7 @@ def _build_branch(prefix, blocks, in_ch, num_classes, normalize, lowrank):
             ResBlock(
                 f"{prefix}/b{i}", ch, blk.n, blk.k, blk.stride,
                 q=blk.q if lowrank else None, normalize=normalize,
+                input_grad=input_grad or i > 0,
             )
         )
         ch = blk.n
@@ -479,17 +492,22 @@ class Model:
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         # the backbone is the first convolution layer and nothing else;
-        # the branches carry their own normalization and nonlinearity
+        # the branches carry their own normalization and nonlinearity.
+        # The backbone reads the image and the residual branch the released
+        # bits: nothing reads either input gradient, so neither is formed
+        # (backward_backbone and backward_res return None).  Stage 1 passes
+        # the main branch's input gradient on to the backbone.
         self.backbone = Sequential([
-            Conv2d("bb/conv", spec.in_channels, spec.bb_channels, spec.bb_k, 1, "same")
+            Conv2d("bb/conv", spec.in_channels, spec.bb_channels, spec.bb_k, 1, "same",
+                   input_grad=False)
         ])
         self.main = _build_branch(
             "main", spec.main_blocks, spec.bb_channels, spec.num_classes,
-            spec.normalize, lowrank=True,
+            spec.normalize, lowrank=True, input_grad=True,
         )
         self.res = _build_branch(
             "res", spec.res_blocks, spec.bb_channels, spec.num_classes,
-            spec.normalize, lowrank=False,
+            spec.normalize, lowrank=False, input_grad=False,
         )
 
     def init(self, seed: int):
@@ -679,6 +697,8 @@ def load_checkpoint(path):
         raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"bad checkpoint magic {raw[:4]!r} at offset 0")
+    if len(raw) < 9:
+        raise ValueError(f"checkpoint header truncated at offset {len(raw)}")
     if raw[4] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {raw[4]} at offset 4")
     (count,) = struct.unpack_from("<I", raw, 5)

@@ -1,8 +1,12 @@
 """Dense tensor core: file I/O, thin SVD, orthonormal block DCT, and 2-D
 convolution by matrix lowering.
 
-All arrays are 64-bit floats. A feature tensor is a C-contiguous ndarray of
-shape (channels, height, width); batches stack a leading axis.
+All arrays are 64-bit floats. A feature tensor is an ndarray of shape
+(channels, height, width); batches stack a leading axis.  Convolutions take
+and return that NCHW layout, but lower channels-last internally: im2col
+gathers columns in (k, k, c) order from an NHWC copy of the input, and the
+kernel is flattened in the same order, so each copied run is a contiguous
+channel vector.  Kernels and their gradients keep the (n, c, k, k) layout.
 """
 
 from __future__ import annotations
@@ -180,33 +184,40 @@ def conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
 
 
 def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """Lower a (b, c, h, w) batch to columns of shape (b * H * W, c * k * k)."""
+    """Lower a (b, c, h, w) batch to columns of shape (b * H * W, k * k * c).
+
+    Columns are ordered (k, k, c): the input is moved to channels-last once,
+    so every run the gather copies is one contiguous channel vector.  A
+    kernel multiplies these columns as ``w.transpose(0, 2, 3, 1).reshape(n, -1)``.
+    """
     b, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    # (b, c, H, W, k, k) -> (b, H, W, c, k, k) -> (b*H*W, c*k*k)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5)
-    return cols.reshape(-1, c * k * k)
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c))
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    # (b, H, W, c, k, k) -> (b, H, W, k, k, c) -> (b*H*W, k*k*c)
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * c)
 
 
 def col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of im2col: scatter-add columns back to a (b, c, h, w) batch."""
+    """Adjoint of im2col: scatter-add (k, k, c) columns back to a (b, c, h, w)
+    batch, accumulating channels-last."""
     b, c, h, w = x_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
     out_h = conv_out_size(h, k, stride, pad)
     out_w = conv_out_size(w, k, stride, pad)
-    patches = cols.reshape(b, out_h, out_w, c, k, k).transpose(0, 3, 4, 5, 1, 2)
-    xp = np.zeros((b, c, hp, wp))
+    patches = cols.reshape(b, out_h, out_w, k, k, c)
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c))
     for i in range(k):
         for j in range(k):
-            xp[:, :, i : i + out_h * stride : stride, j : j + out_w * stride : stride] += patches[
-                :, :, i, j
+            xp[:, i : i + out_h * stride : stride, j : j + out_w * stride : stride] += patches[
+                :, :, :, i, j
             ]
-    if pad:
-        return xp[:, :, pad:-pad, pad:-pad]
-    return xp
+    return xp[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
+
+
+def _kernel_matrix(weights: np.ndarray) -> np.ndarray:
+    """(n, c, k, k) kernel as the (n, k*k*c) matrix matching im2col's columns."""
+    return weights.transpose(0, 2, 3, 1).reshape(weights.shape[0], -1)
 
 
 def _check_conv_shapes(x: np.ndarray, weights: np.ndarray) -> None:
@@ -229,12 +240,18 @@ def conv2d_forward_batch(x, weights, stride: int = 1, padding=0) -> np.ndarray:
     out_h = conv_out_size(h, k, stride, pad)
     out_w = conv_out_size(w, k, stride, pad)
     cols = im2col(x, k, stride, pad)
-    out = cols @ weights.reshape(n, -1).T
+    out = cols @ _kernel_matrix(weights).T
     return out.reshape(b, out_h, out_w, n).transpose(0, 3, 1, 2)
 
 
-def conv2d_backward_batch(grad_out, x, weights, stride: int = 1, padding=0):
-    """Gradients of sum(grad_out * conv(x, w)) wrt x and w."""
+def conv2d_backward_batch(grad_out, x, weights, stride: int = 1, padding=0,
+                          input_grad: bool = True):
+    """Gradients of sum(grad_out * conv(x, w)) wrt x and w.
+
+    Returns (grad_x, grad_w) with grad_w in the kernel's (n, c, k, k) layout.
+    With ``input_grad=False`` grad_x is None and is never formed, for a conv
+    whose input is a leaf of the graph.
+    """
     x = np.asarray(x, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -250,8 +267,11 @@ def conv2d_backward_batch(grad_out, x, weights, stride: int = 1, padding=0):
         )
     g_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, n)
     cols = im2col(x, k, stride, pad)
-    grad_w = (g_flat.T @ cols).reshape(weights.shape)
-    grad_cols = g_flat @ weights.reshape(n, -1)
+    grad_w = (g_flat.T @ cols).reshape(n, k, k, c).transpose(0, 3, 1, 2)
+    grad_w = np.ascontiguousarray(grad_w)
+    if not input_grad:
+        return None, grad_w
+    grad_cols = g_flat @ _kernel_matrix(weights)
     grad_x = col2im(grad_cols, x.shape, k, stride, pad)
     return grad_x, grad_w
 

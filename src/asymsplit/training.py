@@ -322,6 +322,27 @@ class Stage2Public:
 # Evaluation (monolithic, batched)
 # ---------------------------------------------------------------------------
 
+def _correct(z, y) -> int:
+    """How many rows of logits z have the label's index as their argmax."""
+    return int(np.sum(np.argmax(z, axis=1) == y))
+
+
+def evaluate_main(model, params, buffers, xs, ys, dcfg, cfg) -> float:
+    """Accuracy of the main head alone on (xs, ys); no residual is formed.
+
+    Equal to ``evaluate(...)[0]``: ir_main is the same with or without the
+    residual split.
+    """
+    correct = 0
+    for start in range(0, len(xs), cfg.batch_size):
+        xb = xs[start : start + cfg.batch_size]
+        feats, _ = model.forward_backbone(params, buffers, xb, train=False)
+        ir_main, _ = decompose_main_batch(feats, dcfg)
+        z_main, _ = model.forward_main(params, buffers, ir_main, train=False)
+        correct += _correct(z_main, ys[start : start + cfg.batch_size])
+    return correct / len(xs)
+
+
 def evaluate(model, params, buffers, xs, ys, dcfg, cfg, sigma: float):
     """Accuracy of the main head and of the merged head on (xs, ys)."""
     alpha = model.spec.alpha
@@ -338,9 +359,8 @@ def evaluate(model, params, buffers, xs, ys, dcfg, cfg, sigma: float):
             noisy = perturb(ir_res[j], eval_sigma, cfg.seed, VAL_STREAM_BASE + start + j)
             rows.append(quantize(noisy) if cfg.quantize else noisy)
         z_res, _ = model.forward_res(params, buffers, np.stack(rows), train=False)
-        correct_main += int(np.sum(np.argmax(z_main, axis=1) == yb))
-        merged = z_main + alpha * z_res
-        correct_merged += int(np.sum(np.argmax(merged, axis=1) == yb))
+        correct_main += _correct(z_main, yb)
+        correct_merged += _correct(z_main + alpha * z_res, yb)
     return correct_main / len(xs), correct_merged / len(xs)
 
 
@@ -374,14 +394,18 @@ def train_two_stage(model: Model, params, buffers, data, dcfg: DecompositionConf
     report.bytes_by_phase = {"stage1": 0, "cache-build": 0, "stage2": 0}
 
     def epoch_eval(stage: int, epoch: int) -> None:
-        acc_main, acc_merged = evaluate(
-            model, params, buffers, data.val_x, data.val_y, dcfg, cfg, sigma
-        )
-        report.val_main.append(acc_main)
-        if stage == 2:
+        # the merged head only counts once the residual branch trains
+        if stage == 1:
+            acc_main = evaluate_main(model, params, buffers, data.val_x, data.val_y, dcfg, cfg)
+            head = ""
+        else:
+            acc_main, acc_merged = evaluate(
+                model, params, buffers, data.val_x, data.val_y, dcfg, cfg, sigma
+            )
             report.val_merged.append(acc_merged)
+            head = f" merged {acc_merged:.4f}"
+        report.val_main.append(acc_main)
         if progress is not None:
-            head = f" merged {acc_merged:.4f}" if stage == 2 else ""
             progress(f"stage{stage} epoch {epoch}: val main {acc_main:.4f}{head}")
 
     state_private = SgdState()

@@ -351,6 +351,7 @@ def bench():
     return {"runs": runs, "ordering_elapsed": ordering_elapsed}
 
 
+@pytest.mark.slow
 def test_benchmark_accuracy_ordering(bench, verdict):
     """main-only <= merged, and noise at eps=0.5 costs at most 0.5%."""
     runs = bench["runs"]
@@ -374,6 +375,7 @@ def test_benchmark_accuracy_ordering(bench, verdict):
     )
 
 
+@pytest.mark.slow
 def test_quantization_ablation(bench, verdict):
     """Shipping bits instead of floats moves the median accuracy <= 1.5pp."""
     runs = bench["runs"]
@@ -390,6 +392,7 @@ def test_quantization_ablation(bench, verdict):
     )
 
 
+@pytest.mark.slow
 def test_split_inference_matches_monolithic(bench, verdict):
     """Split endpoints and the in-process forward agree on every sample."""
     entry = bench["runs"][(INF, 0)]

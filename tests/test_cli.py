@@ -151,6 +151,15 @@ class TestCheckpointFile:
         with pytest.raises(ValueError, match="offset"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("size", [4, 5, 8])
+    def test_truncated_header_detected(self, tmp_path, size):
+        params, buffers, meta = self.sample_state()
+        path = tmp_path / "m.dltp"
+        save_checkpoint(path, params, buffers, meta)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match=f"header truncated at offset {size}"):
+            load_checkpoint(path)
+
     def test_trailing_bytes_detected(self, tmp_path):
         params, buffers, meta = self.sample_state()
         path = tmp_path / "m.dltp"
@@ -321,6 +330,17 @@ class TestInferCmd:
         images = tmp_path / "gray.npy"
         np.save(images, np.zeros((2, 1, 16, 16)))
         assert main(["infer", "--ckpt", str(out / "ckpt"), "--images", str(images)]) == 2
+
+    @pytest.mark.parametrize("size", [4, 5, 8])
+    def test_truncated_checkpoint_header_is_data_error(self, tmp_path, capsys, size):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        for name in ("private.dltp", "public.dltp"):
+            (ckpt / name).write_bytes(b"DLTP\x01\x00\x00\x00"[:size])
+        images = tmp_path / "x.npy"
+        np.save(images, np.zeros((1, 3, 16, 16)))
+        assert main(["infer", "--ckpt", str(ckpt), "--images", str(images)]) == 2
+        assert "header truncated" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_usage_error(self, tmp_path, capsys):
         images = tmp_path / "x.npy"

@@ -10,6 +10,8 @@ from asymsplit.model import (
     Model,
     ModelSpec,
     ResBlock,
+    Sequential,
+    _build_branch,
     count_macs,
     default_spec,
     factorize_reference,
@@ -21,7 +23,7 @@ from asymsplit.model import (
     save_checkpoint,
     softmax,
 )
-from asymsplit.numerics import conv2d_forward, im2col
+from asymsplit.numerics import conv2d_forward
 
 
 def central_diff(f, x, step=1e-5):
@@ -262,6 +264,43 @@ class TestLayerGradients:
         for key, g in grads.items():
             fd = central_diff(lambda: loss(), params[key])
             assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12) <= 1e-5, key
+
+
+class TestLeafInputGradients:
+    def test_leaf_skip_keeps_every_weight_gradient(self):
+        # the backbone conv and res/b0 (conv1, proj) skip their input
+        # gradient; re-enabling it must not move a single weight-gradient bit
+        rng = np.random.default_rng(13)
+        spec = default_spec(r=2)
+        leaf, full = Model(spec), Model(spec)
+        full.backbone = Sequential([
+            Conv2d("bb/conv", spec.in_channels, spec.bb_channels, spec.bb_k, 1, "same")
+        ])
+        full.res = _build_branch(
+            "res", spec.res_blocks, spec.bb_channels, spec.num_classes,
+            spec.normalize, lowrank=False, input_grad=True,
+        )
+        params, buffers = leaf.init(seed=5)
+        x = rng.normal(size=(4, spec.in_channels, 16, 16))
+        bits = rng.choice([-1.0, 1.0], size=(4, spec.bb_channels, 16, 16))
+        g_feats = rng.normal(size=(4, spec.bb_channels, 16, 16))
+        g_z = rng.normal(size=(4, spec.num_classes))
+
+        def backward(model):
+            grads = {}
+            _, bb_cache = model.forward_backbone(params, dict(buffers), x, True)
+            g_bb = model.backward_backbone(params, bb_cache, g_feats, grads)
+            _, res_cache = model.forward_res(params, dict(buffers), bits, True)
+            g_res = model.backward_res(params, res_cache, g_z, grads)
+            return grads, g_bb, g_res
+
+        grads_leaf, g_bb_leaf, g_res_leaf = backward(leaf)
+        grads_full, g_bb_full, g_res_full = backward(full)
+        assert g_bb_leaf is None and g_res_leaf is None
+        assert g_bb_full.shape == x.shape and g_res_full.shape == bits.shape
+        assert grads_leaf.keys() == grads_full.keys()
+        for key in grads_full:
+            assert grads_leaf[key].tobytes() == grads_full[key].tobytes(), key
 
 
 class TestModelSpec:

@@ -5,12 +5,16 @@ import scipy.fft
 from asymsplit.numerics import (
     SvdFactors,
     as_tensor3,
+    col2im,
     conv2d_backward,
+    conv2d_backward_batch,
     conv2d_forward,
     conv2d_forward_batch,
+    conv_out_size,
     dct_block_forward,
     dct_matrix,
     idct_block,
+    im2col,
     read_tensor,
     svd,
     write_tensor,
@@ -302,8 +306,71 @@ class TestConv2dBackward:
         assert np.linalg.norm(gx - fd_x) / max(np.linalg.norm(fd_x), 1e-12) <= 1e-5
         assert np.linalg.norm(gw - fd_w) / max(np.linalg.norm(fd_w), 1e-12) <= 1e-5
 
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (2, 0)])
+    def test_batch_matches_oracles(self, stride, pad):
+        # grad_w sums over the batch, and each sample's grad_x is that
+        # sample's own: finite differences of the naive conv on every sample
+        rng = np.random.default_rng(34)
+        xs = rng.normal(size=(3, 2, 5, 6))
+        w = rng.normal(size=(3, 2, 3, 3))
+
+        def loss(xv, wv):
+            return sum(np.sum(proj[i] * naive_conv2d(xv[i], wv, stride, pad))
+                       for i in range(len(xv)))
+
+        proj = rng.normal(size=conv2d_forward_batch(xs, w, stride, pad).shape)
+        gx, gw = conv2d_backward_batch(proj, xs, w, stride, pad)
+        fd_x = central_diff(lambda xv: loss(xv, w), xs.copy())
+        fd_w = central_diff(lambda wv: loss(xs, wv), w.copy())
+        assert np.linalg.norm(gx - fd_x) / np.linalg.norm(fd_x) <= 1e-5
+        assert np.linalg.norm(gw - fd_w) / np.linalg.norm(fd_w) <= 1e-5
+
+    def test_skipping_input_grad_keeps_weight_grad(self):
+        rng = np.random.default_rng(35)
+        xs = rng.normal(size=(4, 3, 8, 8))
+        w = rng.normal(size=(5, 3, 3, 3))
+        proj = rng.normal(size=(4, 5, 4, 4))
+        _, gw_full = conv2d_backward_batch(proj, xs, w, stride=2, padding=1)
+        gx, gw_leaf = conv2d_backward_batch(proj, xs, w, stride=2, padding=1,
+                                            input_grad=False)
+        assert gx is None
+        assert gw_leaf.shape == w.shape and gw_leaf.flags.c_contiguous
+        assert gw_leaf.tobytes() == gw_full.tobytes()
+
     def test_grad_shape_mismatch_rejected(self):
         x = np.zeros((1, 4, 4))
         w = np.zeros((1, 1, 3, 3))
         with pytest.raises(ValueError, match="grad_out"):
             conv2d_backward(np.zeros((1, 9, 9)), x, w)
+
+
+class TestLowering:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_im2col_col2im_adjoint(self, k, stride, pad):
+        # <im2col(x), C> == <x, col2im(C)>: col2im is the exact adjoint
+        rng = np.random.default_rng(40 + 4 * k + 2 * stride + pad)
+        shape = (3, 4, 7, 6)
+        x = rng.normal(size=shape)
+        cols = im2col(x, k, stride, pad)
+        out_h = conv_out_size(7, k, stride, pad)
+        out_w = conv_out_size(6, k, stride, pad)
+        assert cols.shape == (3 * out_h * out_w, k * k * 4)
+        c = rng.normal(size=cols.shape)
+        back = col2im(c, shape, k, stride, pad)
+        assert back.shape == shape
+        lhs = float(np.sum(cols * c))
+        rhs = float(np.sum(x * back))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_columns_are_kkc_ordered(self):
+        # column (i, j, ch) of output position (y, x) reads the padded input
+        # at channel ch, row y * stride + i, column x * stride + j
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(2, 3, 5, 5))
+        k, stride, pad = 3, 2, 1
+        cols = im2col(x, k, stride, pad).reshape(2, 3, 3, k, k, 3)
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        for b, y, xx, i, j, ch in np.ndindex(cols.shape):
+            assert cols[b, y, xx, i, j, ch] == xp[b, ch, y * stride + i, xx * stride + j]

@@ -15,6 +15,7 @@ from asymsplit.training import (
     cosine_lr,
     cross_entropy,
     evaluate,
+    evaluate_main,
     one_hot,
     private_backprop,
     resolve_sigma,
@@ -283,6 +284,19 @@ class TestEvaluate:
         clean = evaluate(model, params, buffers, data.val_x, data.val_y, DCFG,
                          TrainConfig(batch_size=32), sigma=0.0)
         assert noisy_off == clean
+
+    def test_main_only_matches_evaluate(self):
+        # stage-1 epochs score the main head alone; it must read exactly
+        # what the full evaluation reports for that head
+        model, params, buffers, report = tiny_run(n=64, ep1=2, ep2=0)
+        data = synthetic_dataset(n=64, seed=0)
+        for batch_size in (16, 7):
+            cfg = TrainConfig(batch_size=batch_size)
+            main = evaluate_main(model, params, buffers, data.val_x, data.val_y, DCFG, cfg)
+            full = evaluate(model, params, buffers, data.val_x, data.val_y, DCFG, cfg, sigma=2.0)
+            assert main == full[0]
+        assert report.val_main[-1] == main
+        assert report.val_merged == []
 
     def test_noise_changes_with_sigma(self):
         data = synthetic_dataset(n=200, seed=2)
