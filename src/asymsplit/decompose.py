@@ -136,6 +136,33 @@ def _channel_basis_batch(flat: np.ndarray, r: int) -> np.ndarray:
     return vecs[:, :, ::-1][:, :, :r]
 
 
+def _lift(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """U_r V per sample: (b, c, r) bases times (b, r, ...) maps -> (b, c, ...)."""
+    b, r = v.shape[:2]
+    return (basis @ v.reshape(b, r, -1)).reshape(b, basis.shape[1], *v.shape[2:])
+
+
+def _main_stage(xs, cfg: DecompositionConfig):
+    """The stage both batched splits share, from the input batch to ir_main.
+
+    Returns (flat, basis, proj, coeffs, ir_main): the (b, c, hw) view of the
+    batch, each sample's top-r channel basis U_r, P = U_r^T X, the block DCT
+    of P, and ir_main = U_r lowpass(P).
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 4:
+        raise ValueError(f"expected a (b, c, h, w) batch, got shape {xs.shape}")
+    cfg.check_shape(xs.shape[1:])
+    b, c, h, w = xs.shape
+
+    flat = xs.reshape(b, c, h * w)
+    basis = _channel_basis_batch(flat, min(cfg.r, c))
+    proj = np.swapaxes(basis, 1, 2) @ flat  # (b, r, hw)
+    coeffs = dct_block_forward(proj.reshape(b, -1, h, w), cfg.t)
+    ir_main = _lift(basis, idct_block(coeffs, cfg.t, cfg.t_prime))
+    return flat, basis, proj, coeffs, ir_main
+
+
 def decompose_batch(xs, cfg: DecompositionConfig):
     """Batched decompose: (b, c, h, w) -> (ir_main, ir_res) sample by sample.
 
@@ -143,30 +170,16 @@ def decompose_batch(xs, cfg: DecompositionConfig):
     bookkeeping.  With U_r the top-r channel basis and P = U_r^T X, the
     main part is U_r lowpass(P), the channel residual is X - U_r P, and
     the spatial residual is U_r highpass(P); their sum with the padded
-    main part reconstructs X exactly.
+    main part reconstructs X exactly.  The main part comes from the same
+    low-pass stage as :func:`decompose_main_batch`.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 4:
-        raise ValueError(f"expected a (b, c, h, w) batch, got shape {xs.shape}")
-    cfg.check_shape(xs.shape[1:])
-    b, c, h, w = xs.shape
+    flat, basis, proj, coeffs, ir_main = _main_stage(xs, cfg)
+    b, _, h, w = coeffs.shape
     t, tp = cfg.t, cfg.t_prime
 
-    flat = xs.reshape(b, c, h * w)
-    basis = _channel_basis_batch(flat, min(cfg.r, c))
-    proj = np.swapaxes(basis, 1, 2) @ flat  # (b, r, hw)
-    principal = proj.reshape(b, -1, h, w)
-
-    coeffs = dct_block_forward(principal, t)
-    ir_main = np.einsum(
-        "bci,bi...->bc...", basis, idct_block(coeffs, t, tp), optimize=True
-    )
-
-    svd_res = (flat - basis @ proj).reshape(b, c, h, w)
+    svd_res = (flat - basis @ proj).reshape(b, -1, h, w)
     hf_coeffs = coeffs * ~_lowfreq_mask(h, w, t, tp)
-    raw = svd_res + np.einsum(
-        "bci,bi...->bc...", basis, idct_block(hf_coeffs, t, t), optimize=True
-    )
+    raw = svd_res + _lift(basis, idct_block(hf_coeffs, t, t))
 
     norms = np.linalg.norm(raw.reshape(b, -1), axis=1)
     scale = np.maximum(1.0, norms / cfg.C)
@@ -180,17 +193,7 @@ def decompose_main_batch(xs, cfg: DecompositionConfig):
     Returns (ir_main, basis) where basis[b] holds an orthonormal basis of
     sample b's top-r left singular subspace.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 4:
-        raise ValueError(f"expected a (b, c, h, w) batch, got shape {xs.shape}")
-    cfg.check_shape(xs.shape[1:])
-    b, c, h, w = xs.shape
-
-    flat = xs.reshape(b, c, h * w)
-    basis = _channel_basis_batch(flat, min(cfg.r, c))
-    principal = (np.swapaxes(basis, 1, 2) @ flat).reshape(b, -1, h, w)
-    v_lf = idct_block(dct_block_forward(principal, cfg.t), cfg.t, cfg.t_prime)
-    ir_main = np.einsum("bci,bi...->bc...", basis, v_lf, optimize=True)
+    _, basis, _, _, ir_main = _main_stage(xs, cfg)
     return ir_main, basis
 
 
@@ -211,19 +214,17 @@ def decompose_main_adjoint(grad_ir_main, basis, cfg: DecompositionConfig) -> np.
             f"gradient spatial dims ({hr}, {wr}) not divisible by t_prime={tp}"
         )
     h, w = hr // tp * t, wr // tp * t
+    r = basis.shape[2]
 
-    proj = np.einsum("bci,bc...->bi...", basis, g, optimize=True)
+    proj = (np.swapaxes(basis, 1, 2) @ g.reshape(b, c, -1)).reshape(b, r, hr, wr)
     # D^T: forward DCT at t', scatter into the low-frequency corner of
     # t-blocks, invert at t.
     small = dct_block_forward(proj, tp)
-    padded = np.zeros((b, basis.shape[2], h, w))
+    padded = np.zeros((b, r, h, w))
     rows = np.flatnonzero((np.arange(h) % t) < tp)
     cols = np.flatnonzero((np.arange(w) % t) < tp)
     padded[..., rows[:, None], cols[None, :]] = small
-    lifted = idct_block(padded, t, t)
-    return np.einsum("bci,bi...->bc...", basis, lifted, optimize=True).reshape(
-        b, c, h, w
-    )
+    return _lift(basis, idct_block(padded, t, t))
 
 
 def spectrum(x, t: int, r_values, tprime_values):

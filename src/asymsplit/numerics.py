@@ -7,10 +7,18 @@ and return that NCHW layout, but lower channels-last internally: im2col
 gathers columns in (k, k, c) order from an NHWC copy of the input, and the
 kernel is flattened in the same order, so each copied run is a contiguous
 channel vector.  Kernels and their gradients keep the (n, c, k, k) layout.
+
+The per-call set-up is kept small, because batch-1 requests call these
+functions many times over tiny arrays.  DCT matrices are built once per
+block size, cached, and handed out read-only; the block transforms are
+plain matmuls over a strided block view.  im2col takes its (b, H, W, k, k, c)
+window view straight from the padded NHWC buffer's strides and copies it
+once.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -98,11 +106,13 @@ def svd(m) -> SvdFactors:
 # Orthonormal block DCT
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def dct_matrix(t: int) -> np.ndarray:
     """Orthonormal DCT-II matrix T of size t x t (T @ T.T = I).
 
     Row j, column m: a_j * cos(pi * (2m + 1) * j / (2t)) with a_0 = sqrt(1/t)
-    and a_j = sqrt(2/t) otherwise.
+    and a_j = sqrt(2/t) otherwise.  Built once per t and shared by every
+    caller, so the returned array is read-only.
     """
     if t < 1:
         raise ValueError(f"block size must be >= 1, got {t}")
@@ -110,6 +120,7 @@ def dct_matrix(t: int) -> np.ndarray:
     m = np.arange(t)[None, :]
     mat = np.cos(np.pi * (2 * m + 1) * j / (2 * t)) * np.sqrt(2.0 / t)
     mat[0, :] = np.sqrt(1.0 / t)
+    mat.flags.writeable = False
     return mat
 
 
@@ -119,13 +130,13 @@ def _split_blocks(x: np.ndarray, t: int) -> np.ndarray:
     if h % t or w % t:
         raise ValueError(f"spatial dims ({h}, {w}) not divisible by block size {t}")
     x = x.reshape(*lead, h // t, t, w // t, t)
-    return np.moveaxis(x, -3, -2)
+    return x.swapaxes(-3, -2)
 
 
 def _join_blocks(blocks: np.ndarray) -> np.ndarray:
     """Inverse of _split_blocks."""
     *lead, nb_h, nb_w, t1, t2 = blocks.shape
-    x = np.moveaxis(blocks, -2, -3)
+    x = blocks.swapaxes(-3, -2)
     return x.reshape(*lead, nb_h * t1, nb_w * t2)
 
 
@@ -136,9 +147,7 @@ def dct_block_forward(channel, t: int) -> np.ndarray:
     """
     x = np.asarray(channel, dtype=np.float64)
     mat = dct_matrix(t)
-    blocks = _split_blocks(x, t)
-    coeffs = np.einsum("ab,...bc,dc->...ad", mat, blocks, mat, optimize=True)
-    return _join_blocks(coeffs)
+    return _join_blocks(mat @ _split_blocks(x, t) @ mat.T)
 
 
 def idct_block(coeffs, t_src: int, t_keep: int | None = None) -> np.ndarray:
@@ -157,8 +166,7 @@ def idct_block(coeffs, t_src: int, t_keep: int | None = None) -> np.ndarray:
     c = np.asarray(coeffs, dtype=np.float64)
     blocks = _split_blocks(c, t_src)[..., :t_keep, :t_keep]
     mat = dct_matrix(t_keep)
-    out = np.einsum("ba,...bc,cd->...ad", mat, blocks, mat, optimize=True)
-    return _join_blocks(out)
+    return _join_blocks(mat.T @ blocks @ mat)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +199,17 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     kernel multiplies these columns as ``w.transpose(0, 2, 3, 1).reshape(n, -1)``.
     """
     b, c, h, w = x.shape
+    out_h = conv_out_size(h, k, stride, pad)
+    out_w = conv_out_size(w, k, stride, pad)
     xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c))
     xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    # (b, H, W, c, k, k) -> (b, H, W, k, k, c) -> (b*H*W, k*k*c)
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * c)
+    # output (y, x) reads the k x k window at padded row y * stride, column x * stride
+    sb, sh, sw, sc = xp.strides
+    windows = np.ndarray(
+        (b, out_h, out_w, k, k, c), dtype=xp.dtype, buffer=xp,
+        strides=(sb, sh * stride, sw * stride, sh, sw, sc),
+    )
+    return windows.reshape(-1, k * k * c)
 
 
 def col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndarray:

@@ -46,6 +46,7 @@ from .training import (
 FRAME_MAGIC = b"DLTR"
 FRAME_VERSION = 1
 _HEADER = struct.Struct("<4sBBIIII")
+_RECV_CHUNK = 1 << 16  # largest single socket read
 
 PHASES = ("stage1", "cache-build", "stage2", "inference")
 
@@ -66,7 +67,6 @@ class FrameKind(IntEnum):
     RESIDUAL_BITS = 1
     LOGITS = 2
     GRADIENT = 3
-    CONTROL = 4
 
     @property
     def wire_name(self) -> str:
@@ -77,7 +77,6 @@ _KIND_NAMES = {
     FrameKind.RESIDUAL_BITS: "residual-bits",
     FrameKind.LOGITS: "logits",
     FrameKind.GRADIENT: "gradient",
-    FrameKind.CONTROL: "control",
 }
 
 
@@ -110,10 +109,6 @@ def encode_frame(frame: Frame) -> bytes:
         if bits.size and bits.max() > 1:
             raise ValueError("residual payload must be 0/1 bits")
         payload = np.packbits(bits, bitorder="big").tobytes()
-    elif frame.kind == FrameKind.CONTROL:
-        if c or h or w:
-            raise ValueError("control frames carry no payload")
-        payload = b""
     else:
         payload = np.asarray(frame.data, dtype="<f8").tobytes()
     return header + payload
@@ -122,12 +117,12 @@ def encode_frame(frame: Frame) -> bytes:
 def _payload_length(kind: FrameKind, count: int) -> int:
     if kind == FrameKind.RESIDUAL_BITS:
         return (count + 7) // 8
-    if kind == FrameKind.CONTROL:
-        return 0
     return 8 * count
 
 
-def decode_frame(raw: bytes) -> Frame:
+def _parse_header(raw: bytes):
+    """Check a frame header's magic, version and kind before anything is
+    sized from it.  Returns (kind, frame_id, c, h, w)."""
     if len(raw) < _HEADER.size:
         raise ValueError(f"frame truncated at offset {len(raw)}: header incomplete")
     magic, version, kind_code, frame_id, c, h, w = _HEADER.unpack_from(raw, 0)
@@ -139,6 +134,11 @@ def decode_frame(raw: bytes) -> Frame:
         kind = FrameKind(kind_code)
     except ValueError:
         raise ValueError(f"unknown frame kind {kind_code} at offset 5") from None
+    return kind, frame_id, c, h, w
+
+
+def decode_frame(raw: bytes) -> Frame:
+    kind, frame_id, c, h, w = _parse_header(raw)
     expected = _payload_length(kind, c * h * w)
     if len(raw) != _HEADER.size + expected:
         raise ValueError(
@@ -151,8 +151,6 @@ def decode_frame(raw: bytes) -> Frame:
             count=c * h * w, bitorder="big",
         )
         data = bits.reshape(c, h, w)
-    elif kind == FrameKind.CONTROL:
-        data = np.zeros((0, 0, 0), dtype=np.uint8)
     else:
         data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(c, h, w)
     return Frame(kind, frame_id, data)
@@ -201,19 +199,17 @@ class SocketChannel:
     def recv(self, receiver: str) -> bytes:
         sock = self._sock(receiver)
         header = self._recv_exact(sock, _HEADER.size)
-        magic, version, kind_code, _, c, h, w = _HEADER.unpack_from(header, 0)
-        try:
-            kind = FrameKind(kind_code)
-        except ValueError:
-            raise ValueError(f"unknown frame kind {kind_code} at offset 5") from None
+        kind, _, c, h, w = _parse_header(header)
         return header + self._recv_exact(sock, _payload_length(kind, c * h * w))
 
     @staticmethod
     def _recv_exact(sock: socket.socket, count: int) -> bytes:
+        # bounded reads: a forged header's size allocates nothing up front,
+        # only what the peer actually sends
         chunks = []
         got = 0
         while got < count:
-            chunk = sock.recv(count - got)
+            chunk = sock.recv(min(count - got, _RECV_CHUNK))
             if not chunk:
                 raise ProtocolViolation("channel closed mid-frame")
             chunks.append(chunk)

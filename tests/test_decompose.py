@@ -11,7 +11,7 @@ from asymsplit.decompose import (
     normalize_residual,
     spectrum,
 )
-from asymsplit.numerics import dct_block_forward, idct_block
+from asymsplit.numerics import dct_block_forward, dct_matrix, idct_block
 
 
 def padded_reassembly(out, cfg, shape):
@@ -186,6 +186,98 @@ class TestBatched:
     def test_rejects_non_batch(self):
         with pytest.raises(ValueError, match="batch"):
             decompose_batch(np.zeros((4, 8, 8)), DecompositionConfig(r=1, t=4, t_prime=2))
+
+
+def einsum_dct(x, t):
+    """Blockwise forward DCT through one einsum over a block view."""
+    mat = dct_matrix(t)
+    *lead, h, w = x.shape
+    blocks = np.moveaxis(x.reshape(*lead, h // t, t, w // t, t), -3, -2)
+    out = np.einsum("ab,...bc,dc->...ad", mat, blocks, mat, optimize=True)
+    return np.moveaxis(out, -2, -3).reshape(x.shape)
+
+
+def einsum_idct(coeffs, t, tk):
+    """Blockwise inverse DCT of the top-left tk x tk corner of each t-block."""
+    mat = dct_matrix(tk)
+    *lead, h, w = coeffs.shape
+    blocks = np.moveaxis(coeffs.reshape(*lead, h // t, t, w // t, t), -3, -2)
+    out = np.einsum("ba,...bc,cd->...ad", mat, blocks[..., :tk, :tk], mat, optimize=True)
+    return np.moveaxis(out, -2, -3).reshape(*lead, h // t * tk, w // t * tk)
+
+
+def einsum_main(xs, cfg):
+    """Reference ir_main, basis and DCT coefficients, in einsum form."""
+    b, c, h, w = xs.shape
+    flat = xs.reshape(b, c, h * w)
+    _, vecs = np.linalg.eigh(flat @ np.swapaxes(flat, 1, 2))
+    basis = vecs[:, :, ::-1][:, :, : cfg.r]
+    proj = np.swapaxes(basis, 1, 2) @ flat
+    coeffs = einsum_dct(proj.reshape(b, -1, h, w), cfg.t)
+    ir_main = np.einsum(
+        "bci,bi...->bc...", basis, einsum_idct(coeffs, cfg.t, cfg.t_prime), optimize=True
+    )
+    return ir_main, basis, proj, coeffs
+
+
+def einsum_decompose_batch(xs, cfg):
+    b, c, h, w = xs.shape
+    ir_main, basis, proj, coeffs = einsum_main(xs, cfg)
+    svd_res = (xs.reshape(b, c, h * w) - basis @ proj).reshape(b, c, h, w)
+    mask = ((np.arange(h) % cfg.t) < cfg.t_prime)[:, None] & (
+        (np.arange(w) % cfg.t) < cfg.t_prime
+    )[None, :]
+    raw = svd_res + np.einsum(
+        "bci,bi...->bc...", basis, einsum_idct(coeffs * ~mask, cfg.t, cfg.t), optimize=True
+    )
+    scale = np.maximum(1.0, np.linalg.norm(raw.reshape(b, -1), axis=1) / cfg.C)
+    return ir_main, raw / scale[:, None, None, None]
+
+
+def einsum_main_adjoint(g, basis, cfg):
+    b, c, hr, wr = g.shape
+    t, tp = cfg.t, cfg.t_prime
+    h, w = hr // tp * t, wr // tp * t
+    proj = np.einsum("bci,bc...->bi...", basis, g, optimize=True)
+    padded = np.zeros((b, basis.shape[2], h, w))
+    rows = np.flatnonzero((np.arange(h) % t) < tp)
+    cols = np.flatnonzero((np.arange(w) % t) < tp)
+    padded[..., rows[:, None], cols[None, :]] = einsum_dct(proj, tp)
+    return np.einsum("bci,bi...->bc...", basis, einsum_idct(padded, t, t), optimize=True)
+
+
+class TestEinsumPins:
+    """The batched decomposition against its einsum formulation, at the
+    benchmark's configuration."""
+
+    CFG = DecompositionConfig(r=4, t=8, t_prime=2, C=1.0)
+
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_decompose_batch(self, b):
+        xs = np.random.default_rng(50 + b).normal(size=(b, 8, 16, 16))
+        main, res = decompose_batch(xs, self.CFG)
+        ref_main, ref_res = einsum_decompose_batch(xs, self.CFG)
+        np.testing.assert_allclose(main, ref_main, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res, ref_res, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_decompose_main_batch(self, b):
+        xs = np.random.default_rng(60 + b).normal(size=(b, 8, 16, 16))
+        main, basis = decompose_main_batch(xs, self.CFG)
+        ref_main, ref_basis, _, _ = einsum_main(xs, self.CFG)
+        np.testing.assert_allclose(main, ref_main, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(basis, ref_basis, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_decompose_main_adjoint(self, b):
+        rng = np.random.default_rng(70 + b)
+        _, basis = decompose_main_batch(rng.normal(size=(b, 8, 16, 16)), self.CFG)
+        g = rng.normal(size=(b, 8, 4, 4))
+        np.testing.assert_allclose(
+            decompose_main_adjoint(g, basis, self.CFG),
+            einsum_main_adjoint(g, basis, self.CFG),
+            rtol=0, atol=1e-12,
+        )
 
 
 class TestAdjoint:

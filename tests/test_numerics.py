@@ -135,6 +135,12 @@ class TestDctMatrix:
     def test_size_one(self):
         np.testing.assert_array_equal(dct_matrix(1), [[1.0]])
 
+    def test_cached_and_read_only(self):
+        mat = dct_matrix(8)
+        assert dct_matrix(8) is mat
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] = 0.0
+
     @pytest.mark.parametrize("t", list(range(1, 33)))
     def test_orthonormal(self, t):
         mat = dct_matrix(t)
@@ -364,13 +370,21 @@ class TestLowering:
         rhs = float(np.sum(x * back))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
-    def test_columns_are_kkc_ordered(self):
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_columns_are_kkc_ordered(self, k, stride, pad, batch):
         # column (i, j, ch) of output position (y, x) reads the padded input
-        # at channel ch, row y * stride + i, column x * stride + j
+        # at channel ch, row y * stride + i, column x * stride + j; on the
+        # odd, non-square input stride 2 leaves trailing rows or columns unread
         rng = np.random.default_rng(41)
-        x = rng.normal(size=(2, 3, 5, 5))
-        k, stride, pad = 3, 2, 1
-        cols = im2col(x, k, stride, pad).reshape(2, 3, 3, k, k, 3)
+        x = rng.normal(size=(batch, 3, 7, 6))
+        out_h = conv_out_size(7, k, stride, pad)
+        out_w = conv_out_size(6, k, stride, pad)
+        cols = im2col(x, k, stride, pad)
+        assert cols.shape == (batch * out_h * out_w, k * k * 3)
+        cols = cols.reshape(batch, out_h, out_w, k, k, 3)
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         for b, y, xx, i, j, ch in np.ndindex(cols.shape):
             assert cols[b, y, xx, i, j, ch] == xp[b, ch, y * stride + i, xx * stride + j]

@@ -1,9 +1,13 @@
 """Wire format, transcript audit, and split-driver equivalence."""
 
 import dataclasses
+import socket
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asymsplit.datasets import synthetic_dataset
 from asymsplit.decompose import DecompositionConfig
@@ -79,10 +83,11 @@ class TestFrameCodec:
         assert back.kind == kind and back.frame_id == 9
         assert rows_from_frame(back).tobytes() == rows.tobytes()
 
-    def test_roundtrip_control(self):
-        frame = Frame(FrameKind.CONTROL, 5, np.zeros((0, 0, 0), dtype=np.uint8))
-        back = decode_frame(encode_frame(frame))
-        assert back.kind == FrameKind.CONTROL and back.data.size == 0
+    def test_kind_four_rejected_by_decode(self):
+        raw = bytearray(encode_frame(Frame(FrameKind.LOGITS, 5, np.zeros((0, 0, 0)))))
+        raw[5] = 4
+        with pytest.raises(ValueError, match="unknown frame kind 4 at offset 5"):
+            decode_frame(bytes(raw))
 
     def test_encode_injective_on_payload(self):
         a = np.array([[[1, 0], [0, 0]]], dtype=np.uint8)
@@ -107,9 +112,11 @@ class TestFrameCodec:
         with pytest.raises(ValueError, match="0/1"):
             encode_frame(Frame(FrameKind.RESIDUAL_BITS, 0, bad))
 
-    def test_control_frames_carry_no_payload(self):
-        with pytest.raises(ValueError, match="control"):
-            encode_frame(Frame(FrameKind.CONTROL, 0, np.zeros((1, 1, 1), dtype=np.uint8)))
+    def test_kind_four_rejected_by_socket(self):
+        raw = bytearray(encode_frame(Frame(FrameKind.LOGITS, 0, np.zeros((0, 0, 0)))))
+        raw[5] = 4
+        with pytest.raises(ValueError, match="unknown frame kind 4 at offset 5"):
+            socket_recv_forged(bytes(raw))
 
     def test_frame_requires_three_dims(self):
         with pytest.raises(ValueError, match="c, h, w"):
@@ -152,6 +159,18 @@ class TestDecodeErrors:
             decode_frame(raw[:-4])
 
 
+def socket_recv_forged(raw: bytes) -> bytes:
+    """Send raw bytes to the public end of a SocketChannel, close the
+    private end's write side, and receive one frame."""
+    ch = SocketChannel()
+    try:
+        ch.send("private", raw)
+        ch._sock("private").shutdown(socket.SHUT_WR)
+        return ch.recv("public")
+    finally:
+        ch.close()
+
+
 class TestChannels:
     def test_memory_fifo_order(self):
         ch = MemoryChannel()
@@ -184,6 +203,19 @@ class TestChannels:
         finally:
             ch.close()
 
+    def test_socket_rejects_bad_magic(self):
+        raw = b"NOPE" + encode_frame(frame_from_rows(FrameKind.LOGITS, 0, np.zeros((1, 2))))[4:]
+        with pytest.raises(ValueError, match="bad frame magic b'NOPE' at offset 0"):
+            socket_recv_forged(raw)
+
+    def test_socket_huge_dims_then_close_is_a_violation(self):
+        # a forged header claiming ~2**99 payload bytes must not size any
+        # allocation from its dims; the peer closing ends the read
+        header = struct.pack("<4sBBIIII", b"DLTR", 1, int(FrameKind.GRADIENT), 0,
+                             2**32 - 1, 2**32 - 1, 2**32 - 1)
+        with pytest.raises(ProtocolViolation, match="channel closed mid-frame"):
+            socket_recv_forged(header + bytes(100))
+
     def test_wire_rejects_unexpected_kind(self):
         wire = Wire()
         wire.phase = "inference"
@@ -191,6 +223,46 @@ class TestChannels:
         wire.send("private", Frame(FrameKind.RESIDUAL_BITS, 0, bits))
         with pytest.raises(ProtocolViolation, match="expected 'logits'"):
             wire.recv("public", expect=FrameKind.LOGITS)
+
+
+# forged headers: mostly the right magic and version, kinds around the
+# valid codes, dims from tiny to the u32 limit
+U32 = st.integers(0, 3) | st.integers(0, 2**32 - 1)
+HEADERS = st.builds(
+    lambda *fields: struct.pack("<4sBBIIII", *fields),
+    st.just(b"DLTR") | st.sampled_from([b"DLTX", bytes(4)]),
+    st.just(1) | st.sampled_from([0, 255]),
+    st.integers(1, 3) | st.sampled_from([0, 4, 255]),
+    U32, U32, U32, U32,
+)
+PAYLOADS = st.binary(max_size=64)
+GOOD_HEADER = struct.pack("<4sBBIIII", b"DLTR", 1, 1, 0, 1, 1, 1)
+HUGE_HEADER = struct.pack("<4sBBIIII", b"DLTR", 1, 2, 0, 2**32 - 1, 2**32 - 1, 7)
+FUZZ = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+class TestDecoderProperties:
+    @FUZZ
+    @given(st.binary(max_size=96) | st.builds(bytes.__add__, HEADERS, PAYLOADS))
+    @example(HUGE_HEADER + bytes(8))
+    @example(GOOD_HEADER + b"\x80")
+    def test_decode_frame_returns_frame_or_raises_value_error(self, raw):
+        try:
+            frame = decode_frame(raw)
+        except ValueError:
+            return
+        assert isinstance(frame, Frame)
+
+    @FUZZ
+    @given(HEADERS, PAYLOADS)
+    @example(HUGE_HEADER, bytes(8))
+    @example(GOOD_HEADER, b"\x80")
+    def test_socket_recv_of_forged_header(self, header, payload):
+        try:
+            out = socket_recv_forged(header + payload)
+        except (ValueError, ProtocolViolation):
+            return
+        assert out == (header + payload)[: len(out)]
 
 
 class TestTranscriptAudit:
