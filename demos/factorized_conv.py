@@ -9,8 +9,19 @@ then prints the multiply-accumulate budget of the shipped architecture.
 import numpy as np
 
 from asymsplit.decompose import DecompositionConfig
-from asymsplit.model import count_macs, default_spec, factorize_reference, lowrank_forward
-from asymsplit.numerics import conv2d_forward
+from asymsplit.model import count_macs, default_spec, factorize_reference
+from asymsplit.numerics import conv2d_forward_batch
+
+
+def conv2d_forward(x, w, stride=1, padding=0):
+    """One (c, h, w) tensor through the batched convolution."""
+    return conv2d_forward_batch(x[None], w, stride, padding)[0]
+
+
+def lowrank_forward(w1, w2, x, stride=1, padding=0):
+    """The factorized conv: k x k projection to q channels, then a 1x1 mix."""
+    return conv2d_forward(conv2d_forward(x, w1, stride, padding), w2)
+
 
 rng = np.random.default_rng(11)
 

@@ -42,7 +42,6 @@ from .training import (
     TrainReport,
     TrainingDiverged,
     evaluate,
-    train_two_stage,
 )
 
 __version__ = "0.1.0"
@@ -80,6 +79,5 @@ __all__ = [
     "run_split_training",
     "spectrum",
     "synthetic_dataset",
-    "train_two_stage",
     "__version__",
 ]

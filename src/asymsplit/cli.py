@@ -44,11 +44,7 @@ from .protocol import (
     run_split_inference,
     run_split_training,
 )
-from .training import (
-    TrainConfig,
-    TrainingDiverged,
-    VAL_STREAM_BASE,
-)
+from .training import TrainConfig, TrainingDiverged, evaluate_main
 
 
 class UsageError(Exception):
@@ -259,20 +255,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_account(args) -> int:
     params = calibrate(args.epsilon, args.delta, args.p, args.C)
-    fields = {
-        key: getattr(params, key)
-        for key in ("epsilon", "delta", "p", "C", "eps_prime", "delta_prime", "sigma")
-    }
-    print(json.dumps(fields, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(params), sort_keys=True))
     return 0
-
-
-def _main_only_accuracy(private: PrivateEndpoint, xs, ys) -> float:
-    correct = 0
-    for i, x in enumerate(np.asarray(xs, dtype=np.float64)):
-        _, z_main = private.inference_parts(x, VAL_STREAM_BASE + i, 0.0)
-        correct += int(np.argmax(z_main)) == int(ys[i])
-    return correct / len(xs)
 
 
 def cmd_train(args) -> int:
@@ -290,7 +274,9 @@ def cmd_train(args) -> int:
 
     # validation pass: merged over the wire, main-only stays private; with
     # no stage 2 there is no trained residual branch and the wire stays silent
-    val_main = _main_only_accuracy(private, data.val_x, data.val_y)
+    val_main = evaluate_main(
+        model, private.params, private.buffers, data.val_x, data.val_y, dcfg, tcfg
+    )
     if tcfg.ep2 > 0:
         merged_preds = run_split_inference(private, public, data.val_x, sigma=report.sigma)
         val_merged = float(np.mean(merged_preds == data.val_y))

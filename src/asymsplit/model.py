@@ -37,7 +37,7 @@ def he_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Primitive layers.  Shared protocol:
+# Layers.  Shared protocol:
 #   shapes()/buffer_shapes() declare parameter and buffer arrays;
 #   init(rng, params) / init_buffers(buffers) fill them;
 #   forward(params, buffers, x, train) -> (y, cache);
@@ -45,9 +45,59 @@ def he_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 #     (gx is None for a Conv2d or ResBlock built with input_grad=False,
 #     whose input is a leaf of the graph);
 #   macs(in_shape) -> (multiply-accumulate count, out_shape).
+# Every layer defines forward and backward in its own class body, where
+# per-class tracing looks them up.
 # ---------------------------------------------------------------------------
 
-class Conv2d:
+class Layer:
+    """Defaults for the parts of the protocol a layer may not need: no
+    parameters, no buffers, no multiply-accumulates, shape unchanged."""
+
+    def shapes(self):
+        return {}
+
+    def buffer_shapes(self):
+        return {}
+
+    def init(self, rng, params):
+        pass
+
+    def init_buffers(self, buffers):
+        pass
+
+    def macs(self, in_shape):
+        return 0, in_shape
+
+
+class Composite(Layer):
+    """A layer made of sublayers; parameters, buffers and rng draws follow
+    the order of ``parts()``."""
+
+    def parts(self):
+        raise NotImplementedError
+
+    def shapes(self):
+        out = {}
+        for part in self.parts():
+            out.update(part.shapes())
+        return out
+
+    def buffer_shapes(self):
+        out = {}
+        for part in self.parts():
+            out.update(part.buffer_shapes())
+        return out
+
+    def init(self, rng, params):
+        for part in self.parts():
+            part.init(rng, params)
+
+    def init_buffers(self, buffers):
+        for part in self.parts():
+            part.init_buffers(buffers)
+
+
+class Conv2d(Layer):
     def __init__(self, prefix, in_ch, out_ch, k, stride=1, padding=0, input_grad=True):
         self.prefix = prefix
         self.in_ch, self.out_ch, self.k = in_ch, out_ch, k
@@ -57,9 +107,6 @@ class Conv2d:
 
     def shapes(self):
         return {self.key: (self.out_ch, self.in_ch, self.k, self.k)}
-
-    def buffer_shapes(self):
-        return {}
 
     def init(self, rng, params):
         params[self.key] = he_normal(
@@ -85,7 +132,7 @@ class Conv2d:
         return self.out_ch * c * self.k**2 * oh * ow, (self.out_ch, oh, ow)
 
 
-class LowRankConv2d:
+class LowRankConv2d(Layer):
     """Factorized conv: k x k into q channels, then 1 x 1 up to n."""
 
     def __init__(self, prefix, in_ch, out_ch, k, q, stride=1, padding=0):
@@ -101,9 +148,6 @@ class LowRankConv2d:
             self.key1: (self.q, self.in_ch, self.k, self.k),
             self.key2: (self.out_ch, self.q, 1, 1),
         }
-
-    def buffer_shapes(self):
-        return {}
 
     def init(self, rng, params):
         params[self.key1] = he_normal(
@@ -133,7 +177,7 @@ class LowRankConv2d:
         return per_pos * oh * ow, (self.out_ch, oh, ow)
 
 
-class ChannelNorm:
+class ChannelNorm(Layer):
     """Per-channel normalization with running statistics."""
 
     def __init__(self, prefix, ch):
@@ -180,23 +224,8 @@ class ChannelNorm:
         s2 = np.sum(gxhat * xhat, axis=(0, 2, 3))[:, None, None]
         return inv[:, None, None] * (gxhat - (s1 + xhat * s2) / m)
 
-    def macs(self, in_shape):
-        return 0, in_shape
 
-
-class ReLU:
-    def __init__(self):
-        pass
-
-    def shapes(self):
-        return {}
-
-    def buffer_shapes(self):
-        return {}
-
-    def init(self, rng, params):
-        pass
-
+class ReLU(Layer):
     def forward(self, params, buffers, x, train):
         mask = x > 0
         return x * mask, mask
@@ -204,20 +233,8 @@ class ReLU:
     def backward(self, params, cache, gy, grads):
         return gy * cache
 
-    def macs(self, in_shape):
-        return 0, in_shape
 
-
-class GlobalAvgPool:
-    def shapes(self):
-        return {}
-
-    def buffer_shapes(self):
-        return {}
-
-    def init(self, rng, params):
-        pass
-
+class GlobalAvgPool(Layer):
     def forward(self, params, buffers, x, train):
         return x.mean(axis=(2, 3)), x.shape
 
@@ -229,7 +246,7 @@ class GlobalAvgPool:
         return 0, (in_shape[0],)
 
 
-class Linear:
+class Linear(Layer):
     def __init__(self, prefix, in_dim, out_dim):
         self.prefix = prefix
         self.in_dim, self.out_dim = in_dim, out_dim
@@ -237,9 +254,6 @@ class Linear:
 
     def shapes(self):
         return {self.kw: (self.out_dim, self.in_dim), self.kb: (self.out_dim,)}
-
-    def buffer_shapes(self):
-        return {}
 
     def init(self, rng, params):
         params[self.kw] = rng.normal(0.0, np.sqrt(1.0 / self.in_dim), (self.out_dim, self.in_dim))
@@ -257,30 +271,12 @@ class Linear:
         return self.out_dim * self.in_dim, (self.out_dim,)
 
 
-class Sequential:
+class Sequential(Composite):
     def __init__(self, layers):
         self.layers = list(layers)
 
-    def shapes(self):
-        out = {}
-        for layer in self.layers:
-            out.update(layer.shapes())
-        return out
-
-    def buffer_shapes(self):
-        out = {}
-        for layer in self.layers:
-            out.update(layer.buffer_shapes())
-        return out
-
-    def init(self, rng, params):
-        for layer in self.layers:
-            layer.init(rng, params)
-
-    def init_buffers(self, buffers):
-        for layer in self.layers:
-            if hasattr(layer, "init_buffers"):
-                layer.init_buffers(buffers)
+    def parts(self):
+        return self.layers
 
     def forward(self, params, buffers, x, train):
         caches = []
@@ -302,7 +298,7 @@ class Sequential:
         return total, in_shape
 
 
-class ResBlock:
+class ResBlock(Composite):
     """Two k x k convs with a skip; convs are dense or factorized (q set).
 
     With ``input_grad=False`` backward returns None; dense convs that read
@@ -332,31 +328,10 @@ class ResBlock:
             self.proj = None
             self.proj_norm = None
 
-    def _parts(self):
+    def parts(self):
         parts = [self.conv1, self.norm1, self.relu1, self.conv2, self.norm2,
                  self.relu2, self.proj, self.proj_norm]
         return [p for p in parts if p is not None]
-
-    def shapes(self):
-        out = {}
-        for p in self._parts():
-            out.update(p.shapes())
-        return out
-
-    def buffer_shapes(self):
-        out = {}
-        for p in self._parts():
-            out.update(p.buffer_shapes())
-        return out
-
-    def init(self, rng, params):
-        for p in self._parts():
-            p.init(rng, params)
-
-    def init_buffers(self, buffers):
-        for p in self._parts():
-            if hasattr(p, "init_buffers"):
-                p.init_buffers(buffers)
 
     def forward(self, params, buffers, x, train):
         y, c1 = self.conv1.forward(params, buffers, x, train)
@@ -404,14 +379,6 @@ class ResBlock:
         if self.proj is not None:
             total += self.proj.macs(in_shape)[0]
         return total, shape
-
-
-def lowrank_forward(w1, w2, x, stride: int = 1, padding=0) -> np.ndarray:
-    """Single-tensor forward through a factorized conv given its kernels."""
-    from .numerics import conv2d_forward
-
-    mid = conv2d_forward(x, w1, stride, padding)
-    return conv2d_forward(mid, w2, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +674,8 @@ def load_checkpoint(path):
     try:
         for _ in range(count):
             section = raw[offset]
+            if section > 2:
+                raise ValueError(f"unknown checkpoint section {section} at offset {offset}")
             (key_len,) = struct.unpack_from("<H", raw, offset + 1)
             if offset + 3 + key_len > len(raw):
                 raise IndexError
@@ -719,7 +688,12 @@ def load_checkpoint(path):
             if offset + size > len(raw):
                 raise IndexError
             if section == 2:
-                meta = json.loads(raw[offset : offset + size].decode())
+                try:
+                    meta = json.loads(raw[offset : offset + size].decode())
+                except RecursionError:
+                    raise ValueError(
+                        f"checkpoint metadata nested too deeply at offset {offset}"
+                    ) from None
             else:
                 arr = np.frombuffer(raw, dtype="<f8", count=size // 8, offset=offset)
                 (params if section == 0 else buffers)[key] = arr.reshape(dims).copy()

@@ -1,4 +1,4 @@
-"""Dense tensor core: file I/O, thin SVD, orthonormal block DCT, and 2-D
+"""Dense tensor core: input checks, thin SVD, orthonormal block DCT, and 2-D
 convolution by matrix lowering.
 
 All arrays are 64-bit floats. A feature tensor is an ndarray of shape
@@ -19,12 +19,9 @@ once.
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-TENSOR_MAGIC = b"DLT0"
 
 
 def as_tensor3(x) -> np.ndarray:
@@ -37,33 +34,6 @@ def as_tensor3(x) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor contains non-finite entries")
     return arr
-
-
-def write_tensor(path, x) -> None:
-    """Write a (c, h, w) tensor: magic 'DLT0', three u32-LE dims, f64-LE data."""
-    arr = as_tensor3(x)
-    c, h, w = arr.shape
-    with open(path, "wb") as f:
-        f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<III", c, h, w))
-        f.write(arr.astype("<f8").tobytes())
-
-
-def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != TENSOR_MAGIC:
-        raise ValueError(f"bad tensor magic {raw[:4]!r} at offset 0")
-    if len(raw) < 16:
-        raise ValueError(f"truncated tensor header: {len(raw)} bytes")
-    c, h, w = struct.unpack("<III", raw[4:16])
-    expect = 16 + 8 * c * h * w
-    if len(raw) != expect:
-        raise ValueError(
-            f"tensor payload length {len(raw) - 16} != {8 * c * h * w} at offset 16"
-        )
-    data = np.frombuffer(raw, dtype="<f8", offset=16).astype(np.float64)
-    return data.reshape(c, h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +257,3 @@ def conv2d_backward_batch(grad_out, x, weights, stride: int = 1, padding=0,
     grad_cols = g_flat @ _kernel_matrix(weights)
     grad_x = col2im(grad_cols, x.shape, k, stride, pad)
     return grad_x, grad_w
-
-
-def conv2d_forward(x, weights, stride: int = 1, padding=0) -> np.ndarray:
-    """Single-sample convolution: (c, h, w) -> (n, H, W)."""
-    x3 = as_tensor3(x)
-    return conv2d_forward_batch(x3[None], weights, stride, padding)[0]
-
-
-def conv2d_backward(grad_out, x, weights, stride: int = 1, padding=0):
-    """Single-sample convolution gradients: returns (grad_input, grad_weights)."""
-    x3 = as_tensor3(x)
-    g = np.asarray(grad_out, dtype=np.float64)
-    grad_x, grad_w = conv2d_backward_batch(g[None], x3[None], weights, stride, padding)
-    return grad_x[0], grad_w

@@ -18,6 +18,7 @@ logits and gradients, inference only residual bits and logits.
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import struct
 from collections import deque
@@ -28,7 +29,7 @@ import numpy as np
 
 from .decompose import DecompositionConfig, decompose_batch
 from .model import Model
-from .privacy import perturb, quantize
+from .privacy import build_cache, perturb, quantize
 from .training import (
     SgdState,
     Stage2Private,
@@ -394,11 +395,11 @@ def run_split_inference(private: PrivateEndpoint, public: PublicEndpoint, xs,
 def run_split_training(model: Model, params, buffers, data,
                        dcfg: DecompositionConfig, cfg: TrainConfig,
                        channel=None) -> tuple:
-    """The full two-stage protocol over a channel.
+    """The full two-stage protocol over a channel: the one training driver.
 
-    Returns (report, wire, private, public).  Per-epoch evaluation is an
-    in-private-process convenience and is deliberately absent here: the
-    wire carries exactly the frames the protocol defines, nothing else.
+    Returns (report, wire, private, public).  There is no per-epoch
+    evaluation: the wire carries exactly the frames the protocol defines,
+    nothing else.  Score the trained endpoints with ``training.evaluate``.
     """
     if cfg.ep2 > 0 and not cfg.quantize:
         raise ProtocolViolation(
@@ -416,10 +417,7 @@ def run_split_training(model: Model, params, buffers, data,
     sigma, privacy = resolve_sigma(cfg, report.p, dcfg.C)
     report.sigma = sigma
     if privacy is not None:
-        report.accountant = {
-            k: getattr(privacy, k)
-            for k in ("epsilon", "delta", "p", "C", "eps_prime", "delta_prime", "sigma")
-        }
+        report.accountant = dataclasses.asdict(privacy)
 
     # stage 1: entirely private, the channel stays silent
     wire.phase = "stage1"
@@ -427,19 +425,20 @@ def run_split_training(model: Model, params, buffers, data,
     run_stage1(model, private.params, private.buffers, data, dcfg, cfg, state_private, report)
 
     if cfg.ep2 > 0:
-        # cache-build: one residual-bits frame per training sample
+        # cache-build: the whole release is formed (and every residual
+        # checked against C) before its first frame is sent; then one
+        # residual-bits frame per training sample
         wire.phase = "cache-build"
         residuals = compute_residuals(
             model, private.params, private.buffers, data.train_x, dcfg, cfg.batch_size
         )
-        for sample_id in sorted(residuals):
-            res = residuals[sample_id]
-            if privacy is not None and np.linalg.norm(res) > privacy.C + 1e-9:
-                raise ProtocolViolation(
-                    f"residual norm exceeds sensitivity bound for sample {sample_id}"
-                )
-            bits = quantize(perturb(res, sigma, cfg.seed, stream=sample_id))
-            wire.send("private", Frame(FrameKind.RESIDUAL_BITS, sample_id, bits))
+        try:
+            cache = build_cache(residuals, privacy, cfg.seed, sigma=sigma)
+        except ValueError as exc:
+            raise ProtocolViolation(str(exc)) from None
+        del residuals  # only the released bits are needed from here on
+        for sample_id in cache.ids():
+            wire.send("private", Frame(FrameKind.RESIDUAL_BITS, sample_id, cache.bits(sample_id)))
             frame = wire.recv("public", expect=FrameKind.RESIDUAL_BITS)
             public.store[frame.frame_id] = frame.data
 

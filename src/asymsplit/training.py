@@ -1,4 +1,4 @@
-"""Two-stage training with private backpropagation.
+"""Two-stage training with private backpropagation: the pieces of one run.
 
 Stage 1 trains the backbone and the main branch on ir_main alone; nothing
 leaves the private side.  Between stages every training residual is
@@ -8,10 +8,13 @@ branch trains on cached bits, exchanging only logits and its own softmax
 gradient g_res = softmax(z_res) - y, which is formed without ever reading
 z_main.
 
-The batch schedule is a pure function of (seed, stage, epoch), so both
-sides of a split run derive it independently and no sample ids need to
-travel during stage 2.  epsilon = inf is the no-noise setting: sigma is 0
-and no accountant output is produced.
+This module holds the steps; ``protocol.run_split_training`` is the one
+driver that runs them, with every frame crossing the wire.  The batch
+schedule is a pure function of (seed, stage, epoch), so both sides derive
+it independently and no sample ids need to travel during stage 2.
+epsilon = inf is the no-noise setting: sigma is 0 and no accountant
+output is produced.  ``evaluate``/``evaluate_main`` score trained
+parameters once a run is over.
 """
 
 from __future__ import annotations
@@ -21,14 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import (
-    DecompositionConfig,
-    decompose_batch,
-    decompose_main_adjoint,
-    decompose_main_batch,
-)
+from .decompose import decompose_batch, decompose_main_adjoint, decompose_main_batch
 from .model import Model, orth_reg, softmax
-from .privacy import PrivacyParams, build_cache, calibrate, perturb, quantize
+from .privacy import calibrate, perturb, quantize
 
 # validation-time noise streams live in their own key range so they can
 # never collide with (seed, train sample id) cache streams
@@ -79,17 +77,10 @@ class TrainReport:
     stage1_loss: list = field(default_factory=list)
     stage2_main_loss: list = field(default_factory=list)
     stage2_res_loss: list = field(default_factory=list)
-    val_main: list = field(default_factory=list)    # one entry per epoch, both stages
-    val_merged: list = field(default_factory=list)  # stage-2 epochs only
     sigma: float = 0.0
     p: float = 1.0
     accountant: dict | None = None
     bytes_by_phase: dict = field(default_factory=dict)
-
-    def final_accuracy(self):
-        main = self.val_main[-1] if self.val_main else None
-        merged = self.val_merged[-1] if self.val_merged else None
-        return main, merged
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +185,7 @@ def stage1_batch(model: Model, params, buffers, xb, yb1h, dcfg, cfg, state, lr) 
     return loss
 
 
-def run_stage1(model, params, buffers, data, dcfg, cfg, state, report, eval_fn=None):
+def run_stage1(model, params, buffers, data, dcfg, cfg, state, report):
     xs, ys = data.train_x, data.train_y
     y1h = one_hot(ys, model.spec.num_classes)
     for epoch in range(cfg.ep1):
@@ -205,12 +196,10 @@ def run_stage1(model, params, buffers, data, dcfg, cfg, state, report, eval_fn=N
                 stage1_batch(model, params, buffers, xs[idx], y1h[idx], dcfg, cfg, state, lr)
             )
         report.stage1_loss.append(float(np.mean(losses)))
-        if eval_fn is not None:
-            eval_fn(stage=1, epoch=epoch)
 
 
 # ---------------------------------------------------------------------------
-# Residual store (cache-build)
+# Residuals (cache-build)
 # ---------------------------------------------------------------------------
 
 def compute_residuals(model: Model, params, buffers, xs, dcfg, batch_size: int):
@@ -225,25 +214,8 @@ def compute_residuals(model: Model, params, buffers, xs, dcfg, batch_size: int):
     return out
 
 
-def build_residual_store(model, params, buffers, xs, dcfg, cfg, sigma, privacy):
-    """The one-shot store: quantized bits normally, perturbed floats for
-    the no-quantization ablation (which never touches the wire)."""
-    residuals = compute_residuals(model, params, buffers, xs, dcfg, cfg.batch_size)
-    if cfg.quantize:
-        return build_cache(residuals, privacy, cfg.seed, sigma=sigma)
-    return {
-        i: perturb(res, sigma, cfg.seed, stream=i) for i, res in residuals.items()
-    }
-
-
-def _store_entry(store, sample_id: int) -> np.ndarray:
-    if isinstance(store, dict):
-        return store[sample_id]
-    return store.bits(sample_id)
-
-
 # ---------------------------------------------------------------------------
-# Stage 2 steps, shared by the in-process and the split drivers
+# Stage 2 steps, one per side of the split
 # ---------------------------------------------------------------------------
 
 class Stage2Private:
@@ -305,7 +277,7 @@ class Stage2Public:
 
     def logits(self, sample_ids) -> np.ndarray:
         inputs = np.stack(
-            [np.asarray(_store_entry(self.store, int(i)), dtype=np.float64) for i in sample_ids]
+            [np.asarray(self.store[int(i)], dtype=np.float64) for i in sample_ids]
         )
         z_res, cache = self.model.forward_res(self.params, self.buffers, inputs, train=True)
         self._cache, self._batch = cache, len(sample_ids)
@@ -365,7 +337,7 @@ def evaluate(model, params, buffers, xs, ys, dcfg, cfg, sigma: float):
 
 
 # ---------------------------------------------------------------------------
-# In-process driver
+# Noise scale
 # ---------------------------------------------------------------------------
 
 def resolve_sigma(cfg: TrainConfig, p: float, C: float):
@@ -376,58 +348,3 @@ def resolve_sigma(cfg: TrainConfig, p: float, C: float):
         return 0.0, None
     privacy = calibrate(cfg.epsilon, cfg.delta, p, C)
     return privacy.sigma, privacy
-
-
-def train_two_stage(model: Model, params, buffers, data, dcfg: DecompositionConfig,
-                    cfg: TrainConfig, progress=None) -> TrainReport:
-    """Reference driver running both sides in one process (no wire)."""
-    report = TrainReport()
-    n = len(data.train_x)
-    report.p = min(1.0, cfg.batch_size / n)
-    sigma, privacy = resolve_sigma(cfg, report.p, dcfg.C)
-    report.sigma = sigma
-    if privacy is not None:
-        report.accountant = {
-            k: getattr(privacy, k)
-            for k in ("epsilon", "delta", "p", "C", "eps_prime", "delta_prime", "sigma")
-        }
-    report.bytes_by_phase = {"stage1": 0, "cache-build": 0, "stage2": 0}
-
-    def epoch_eval(stage: int, epoch: int) -> None:
-        # the merged head only counts once the residual branch trains
-        if stage == 1:
-            acc_main = evaluate_main(model, params, buffers, data.val_x, data.val_y, dcfg, cfg)
-            head = ""
-        else:
-            acc_main, acc_merged = evaluate(
-                model, params, buffers, data.val_x, data.val_y, dcfg, cfg, sigma
-            )
-            report.val_merged.append(acc_merged)
-            head = f" merged {acc_merged:.4f}"
-        report.val_main.append(acc_main)
-        if progress is not None:
-            progress(f"stage{stage} epoch {epoch}: val main {acc_main:.4f}{head}")
-
-    state_private = SgdState()
-    run_stage1(model, params, buffers, data, dcfg, cfg, state_private, report, epoch_eval)
-
-    if cfg.ep2 == 0:
-        return report
-
-    store = build_residual_store(
-        model, params, buffers, data.train_x, dcfg, cfg, sigma, privacy
-    )
-    private = Stage2Private(model, params, buffers, dcfg, cfg, state_private, report)
-    public = Stage2Public(model, params, buffers, store, cfg, SgdState())
-    y1h = one_hot(data.train_y, model.spec.num_classes)
-    for epoch in range(cfg.ep2):
-        private.begin_epoch(epoch)
-        public.begin_epoch(epoch)
-        for idx in batch_schedule(n, cfg.batch_size, cfg.seed, 2, epoch):
-            private.prepare(data.train_x[idx], y1h[idx])
-            z_res = public.logits(idx)
-            g_res = private.finish(z_res)
-            public.apply_gradient(g_res)
-        private.end_epoch()
-        epoch_eval(stage=2, epoch=epoch)
-    return report

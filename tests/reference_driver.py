@@ -1,0 +1,51 @@
+"""In-process reference loop for the two-stage protocol.
+
+Both sides share one params/buffers dict pair and nothing crosses a wire:
+stage 1, then every residual perturbed (and quantized) once into a store,
+then the stage-2 batch loop.  ``protocol.run_split_training`` must match it
+bitwise.  It also runs the unquantized ablation, whose perturbed floats the
+split driver refuses to send.
+"""
+
+from asymsplit.privacy import perturb, quantize
+from asymsplit.training import (
+    SgdState,
+    Stage2Private,
+    Stage2Public,
+    TrainReport,
+    batch_schedule,
+    compute_residuals,
+    one_hot,
+    resolve_sigma,
+    run_stage1,
+)
+
+
+def train_in_process(model, params, buffers, data, dcfg, cfg) -> TrainReport:
+    """Run both stages, updating ``params`` and ``buffers`` in place."""
+    report = TrainReport()
+    n = len(data.train_x)
+    report.p = min(1.0, cfg.batch_size / n)
+    report.sigma, _ = resolve_sigma(cfg, report.p, dcfg.C)
+    state_private = SgdState()
+    run_stage1(model, params, buffers, data, dcfg, cfg, state_private, report)
+    if cfg.ep2 == 0:
+        return report
+
+    store = {}
+    residuals = compute_residuals(model, params, buffers, data.train_x, dcfg, cfg.batch_size)
+    for sample_id, res in residuals.items():
+        noisy = perturb(res, report.sigma, cfg.seed, stream=sample_id)
+        store[sample_id] = quantize(noisy) if cfg.quantize else noisy
+
+    private = Stage2Private(model, params, buffers, dcfg, cfg, state_private, report)
+    public = Stage2Public(model, params, buffers, store, cfg, SgdState())
+    y1h = one_hot(data.train_y, model.spec.num_classes)
+    for epoch in range(cfg.ep2):
+        private.begin_epoch(epoch)
+        public.begin_epoch(epoch)
+        for idx in batch_schedule(n, cfg.batch_size, cfg.seed, 2, epoch):
+            private.prepare(data.train_x[idx], y1h[idx])
+            public.apply_gradient(private.finish(public.logits(idx)))
+        private.end_epoch()
+    return report

@@ -12,6 +12,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from reference_driver import train_in_process
 
 from asymsplit.datasets import synthetic_dataset
 from asymsplit.decompose import DecompositionConfig, decompose, spectrum
@@ -22,10 +23,9 @@ from asymsplit.model import (
     default_spec,
     factorize_reference,
     forward_full,
-    lowrank_forward,
     orth_reg,
 )
-from asymsplit.numerics import conv2d_backward, conv2d_forward, idct_block
+from asymsplit.numerics import conv2d_backward_batch, conv2d_forward_batch, idct_block
 from asymsplit.privacy import amplify, calibrate
 from asymsplit.protocol import (
     MemoryChannel,
@@ -42,9 +42,9 @@ from asymsplit.training import (
     VAL_STREAM_BASE,
     TrainConfig,
     cross_entropy,
+    evaluate,
     one_hot,
     private_backprop,
-    train_two_stage,
 )
 
 BENCH_DCFG = DecompositionConfig(r=4, t=8, t_prime=2, C=1.0)
@@ -78,6 +78,16 @@ def central_diff(f, x, step=1e-5):
 
 def rel_gap(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-12)
+
+
+def conv2d_forward(x, w, stride=1, padding=0):
+    """One (c, h, w) sample through the batched convolution."""
+    return conv2d_forward_batch(x[None], w, stride, padding)[0]
+
+
+def lowrank_forward(w1, w2, x, stride=1, padding=0):
+    """One sample through a factorized conv given its two kernels."""
+    return conv2d_forward(conv2d_forward(x, w1, stride, padding), w2)
 
 
 def test_factorization_exact_on_lowrank_inputs(verdict):
@@ -207,7 +217,8 @@ def test_gradient_suite(verdict):
     w = rng.normal(size=(3, 2, 3, 3))
     y = conv2d_forward(x, w, stride=2, padding=1)
     proj = rng.normal(size=y.shape)
-    gx, gw = conv2d_backward(proj, x, w, stride=2, padding=1)
+    gx, gw = conv2d_backward_batch(proj[None], x[None], w, stride=2, padding=1)
+    gx = gx[0]
 
     def conv_loss():
         return float(np.sum(proj * conv2d_forward(x, w, stride=2, padding=1)))
@@ -327,8 +338,18 @@ def _bench_run(seed, epsilon, quantize, keep=False):
     cfg = TrainConfig(
         ep1=15, ep2=15, batch_size=128, epsilon=epsilon, quantize=quantize, seed=seed
     )
-    report = train_two_stage(model, params, buffers, data, BENCH_DCFG, cfg)
-    main, merged = report.final_accuracy()
+    if quantize:
+        report, _, private, public = run_split_training(
+            model, params, buffers, data, BENCH_DCFG, cfg
+        )
+        params = {**private.params, **public.params}
+        buffers = {**private.buffers, **public.buffers}
+    else:
+        # raw floats never cross the wire: the ablation runs in process
+        report = train_in_process(model, params, buffers, data, BENCH_DCFG, cfg)
+    main, merged = evaluate(
+        model, params, buffers, data.val_x, data.val_y, BENCH_DCFG, cfg, report.sigma
+    )
     entry = {"main": main, "merged": merged}
     if keep:
         entry.update(model=model, params=params, buffers=buffers, data=data, cfg=cfg)

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asymsplit.cli import (
     UsageError,
@@ -101,6 +103,26 @@ class TestConfigResolution:
         assert again == cfg
 
 
+def checkpoint_bytes(tensors, meta_blob: bytes) -> bytes:
+    """A container built by hand: (section, key, array) entries, then metadata."""
+    raw = bytearray(b"DLTP\x01" + struct.pack("<I", len(tensors) + 1))
+    for section, key, arr in tensors:
+        raw += bytes([section]) + struct.pack("<H", len(key)) + key
+        raw += bytes([arr.ndim]) + struct.pack(f"<{arr.ndim}I", *arr.shape)
+        raw += arr.astype("<f8").tobytes()
+    raw += bytes([2]) + struct.pack("<H", 4) + b"meta"
+    raw += struct.pack("<BI", 1, len(meta_blob)) + meta_blob
+    return bytes(raw)
+
+
+# one parameter a/w and one buffer a/m; the first entry's section byte is at offset 9
+SMALL_CHECKPOINT = checkpoint_bytes(
+    ((0, b"a/w", np.arange(6.0).reshape(2, 3)), (1, b"a/m", np.ones(2))), b'{"seed": 1}'
+)
+BAD_SECTION = SMALL_CHECKPOINT[:9] + bytes([7]) + SMALL_CHECKPOINT[10:]
+DEEP_META = checkpoint_bytes((), b"[" * 100_000)
+
+
 class TestCheckpointFile:
     def sample_state(self):
         rng = np.random.default_rng(0)
@@ -167,6 +189,52 @@ class TestCheckpointFile:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(path)
+
+    def test_unknown_section_rejected(self, tmp_path):
+        path = tmp_path / "m.dltp"
+        path.write_bytes(SMALL_CHECKPOINT)
+        assert "a/w" in load_checkpoint(path)[0]
+        path.write_bytes(BAD_SECTION)
+        with pytest.raises(ValueError, match="unknown checkpoint section 7 at offset 9"):
+            load_checkpoint(path)
+
+    def test_deeply_nested_metadata_rejected(self, tmp_path):
+        path = tmp_path / "m.dltp"
+        path.write_bytes(DEEP_META)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load_checkpoint(path)
+
+
+def _flip(raw: bytes, edits) -> bytes:
+    out = bytearray(raw)
+    for position, value in edits:
+        out[position % len(out)] = value
+    return bytes(out)
+
+
+# arbitrary bytes, and a valid container with bytes overwritten or cut off
+CHECKPOINT_BYTES = (
+    st.binary(max_size=128)
+    | st.builds(bytes.__add__, st.just(b"DLTP\x01"), st.binary(max_size=128))
+    | st.builds(_flip, st.just(SMALL_CHECKPOINT),
+                st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=4))
+    | st.builds(lambda raw, cut: raw[:cut], st.just(SMALL_CHECKPOINT), st.integers(0, 200))
+)
+
+
+class TestCheckpointProperties:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(CHECKPOINT_BYTES)
+    @example(BAD_SECTION)
+    @example(DEEP_META)
+    def test_bytes_load_or_raise_value_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("ckpt") / "m.dltp"
+        path.write_bytes(raw)
+        try:
+            params, buffers, meta = load_checkpoint(path)
+        except ValueError:
+            return
+        assert all(isinstance(v, np.ndarray) for v in (*params.values(), *buffers.values()))
 
 
 class TestAccountCmd:
@@ -341,6 +409,16 @@ class TestInferCmd:
         np.save(images, np.zeros((1, 3, 16, 16)))
         assert main(["infer", "--ckpt", str(ckpt), "--images", str(images)]) == 2
         assert "header truncated" in capsys.readouterr().err
+
+    def test_unknown_checkpoint_section_is_data_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        for name in ("private.dltp", "public.dltp"):
+            (ckpt / name).write_bytes(BAD_SECTION)
+        images = tmp_path / "x.npy"
+        np.save(images, np.zeros((1, 3, 16, 16)))
+        assert main(["infer", "--ckpt", str(ckpt), "--images", str(images)]) == 2
+        assert "unknown checkpoint section 7" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_usage_error(self, tmp_path, capsys):
         images = tmp_path / "x.npy"

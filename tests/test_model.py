@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,9 @@ from asymsplit.model import (
     BlockSpec,
     ChannelNorm,
     Conv2d,
+    GlobalAvgPool,
+    Layer,
+    Linear,
     LowRankConv2d,
     Model,
     ModelSpec,
@@ -17,13 +22,23 @@ from asymsplit.model import (
     factorize_reference,
     forward_full,
     he_normal,
+    ReLU,
     load_checkpoint,
-    lowrank_forward,
     orth_reg,
     save_checkpoint,
     softmax,
 )
-from asymsplit.numerics import conv2d_forward
+from asymsplit.numerics import conv2d_forward_batch
+
+
+def conv2d_forward(x, w, stride=1, padding=0):
+    """One (c, h, w) sample through the batched convolution."""
+    return conv2d_forward_batch(x[None], w, stride, padding)[0]
+
+
+def lowrank_forward(w1, w2, x, stride=1, padding=0):
+    """One sample through a factorized conv given its two kernels."""
+    return conv2d_forward(conv2d_forward(x, w1, stride, padding), w2)
 
 
 def central_diff(f, x, step=1e-5):
@@ -443,6 +458,34 @@ class TestInit:
         rng = np.random.default_rng(0)
         w = he_normal(rng, (256, 64, 3, 3), 64 * 9)
         assert abs(w.std() - np.sqrt(2.0 / (64 * 9))) / np.sqrt(2.0 / (64 * 9)) <= 0.05
+
+    def test_init_digest_pinned(self):
+        # parameters and buffers, drawn in part order, keep their exact bytes
+        params, buffers = Model(default_spec(r=4)).init(0)
+        digest = hashlib.sha256()
+        for arrays in (params, buffers):
+            for key in sorted(arrays):
+                digest.update(key.encode())
+                digest.update(arrays[key].tobytes())
+        assert digest.hexdigest() == (
+            "5ebee1d5298a0d8720169d75f615ac0c7273a6ab3f7fb7a0bc3172e80731b36f"
+        )
+
+    def test_layer_defaults(self):
+        layer = Layer()
+        params, buffers = {}, {}
+        layer.init(np.random.default_rng(0), params)
+        layer.init_buffers(buffers)
+        assert layer.shapes() == {} and layer.buffer_shapes() == {}
+        assert params == {} and buffers == {}
+        assert layer.macs((3, 4, 5)) == (0, (3, 4, 5))
+
+    def test_every_layer_defines_its_own_passes(self):
+        # per-class tracing reads forward/backward from the class body
+        for cls in (Conv2d, LowRankConv2d, ChannelNorm, ReLU, GlobalAvgPool,
+                    Linear, Sequential, ResBlock):
+            assert issubclass(cls, Layer)
+            assert "forward" in cls.__dict__ and "backward" in cls.__dict__, cls
 
     def test_all_declared_params_present(self):
         model = Model(default_spec())

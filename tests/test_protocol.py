@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_driver import train_in_process
 
+from asymsplit import protocol
 from asymsplit.datasets import synthetic_dataset
 from asymsplit.decompose import DecompositionConfig
 from asymsplit.model import Model, default_spec, forward_full
@@ -31,12 +33,7 @@ from asymsplit.protocol import (
     run_split_training,
     split_params,
 )
-from asymsplit.training import (
-    VAL_STREAM_BASE,
-    TrainConfig,
-    batch_schedule,
-    train_two_stage,
-)
+from asymsplit.training import VAL_STREAM_BASE, TrainConfig, batch_schedule, evaluate_main
 
 DCFG = DecompositionConfig(r=4, t=8, t_prime=2, C=1.0)
 
@@ -328,33 +325,62 @@ class TestTranscriptAudit:
         )
 
 
-def tiny_setup(seed=0, n=64, ep1=1, ep2=2, **cfg_kwargs):
+def tiny_setup(seed=0, n=64, ep1=1, ep2=2, epsilon=float("inf"), **cfg_kwargs):
     data = synthetic_dataset(n=n, seed=seed)
     model = Model(default_spec(r=DCFG.r))
     params, buffers = model.init(seed)
-    cfg = TrainConfig(ep1=ep1, ep2=ep2, batch_size=16, epsilon=float("inf"),
+    cfg = TrainConfig(ep1=ep1, ep2=ep2, batch_size=16, epsilon=epsilon,
                       seed=seed, **cfg_kwargs)
     return data, model, params, buffers, cfg
 
 
 class TestSplitTraining:
-    def test_split_matches_in_process_bitwise(self):
-        data, model, params, buffers, cfg = tiny_setup()
-        mono = train_two_stage(model, params, buffers, data, DCFG, cfg)
+    @pytest.mark.parametrize("epsilon", [float("inf"), 0.5])
+    def test_split_matches_in_process_bitwise(self, epsilon):
+        data, model, params, buffers, cfg = tiny_setup(epsilon=epsilon)
+        mono = train_in_process(model, params, buffers, data, DCFG, cfg)
 
-        data2, model2, params2, buffers2, cfg2 = tiny_setup()
+        data2, model2, params2, buffers2, cfg2 = tiny_setup(epsilon=epsilon)
         report, wire, private, public = run_split_training(
             model2, params2, buffers2, data2, DCFG, cfg2
         )
 
+        assert (report.sigma > 0) == (epsilon == 0.5)
+        assert report.sigma == mono.sigma
         assert report.stage1_loss == mono.stage1_loss
         assert report.stage2_main_loss == mono.stage2_main_loss
         assert report.stage2_res_loss == mono.stage2_res_loss
-        merged = dict(private.params)
-        merged.update(public.params)
-        assert merged.keys() == params.keys()
-        for key in params:
-            assert merged[key].tobytes() == params[key].tobytes(), key
+        for mine, theirs in ((params, {**private.params, **public.params}),
+                             (buffers, {**private.buffers, **public.buffers})):
+            assert theirs.keys() == mine.keys()
+            for key in mine:
+                assert theirs[key].tobytes() == mine[key].tobytes(), key
+
+    def test_residual_over_bound_refused_before_any_frame(self, monkeypatch):
+        # the last sample breaks the bound C: nothing may have been sent
+        # for the earlier ones by the time the driver refuses
+        real = protocol.compute_residuals
+
+        def one_too_large(*args):
+            residuals = real(*args)
+            residuals[max(residuals)] = 2.0 * residuals[max(residuals)]
+            return residuals
+
+        wires = []
+
+        class RecordedWire(Wire):
+            def __init__(self, channel=None):
+                super().__init__(channel)
+                wires.append(self)
+
+        monkeypatch.setattr(protocol, "compute_residuals", one_too_large)
+        monkeypatch.setattr(protocol, "Wire", RecordedWire)
+        data, model, params, buffers, cfg = tiny_setup(n=32, ep2=1, epsilon=0.5)
+        with pytest.raises(ProtocolViolation, match="sensitivity"):
+            run_split_training(model, params, buffers, data, DCFG, cfg)
+        (wire,) = wires
+        assert wire.phase == "cache-build"
+        assert not [e for e in wire.transcript.entries if e.kind == "residual-bits"]
 
     def test_socket_mode_matches_memory_mode(self):
         data, model, params, buffers, cfg = tiny_setup(n=32, ep2=1)
@@ -463,6 +489,17 @@ class TestSplitInference:
                 model, merged_params, merged_buffers, x, DCFG, residual_bits=bits
             )
             assert preds[i] == pred
+
+    def test_batched_main_accuracy_matches_per_sample(self, trained):
+        # the batched main-head score equals scoring each request's z_main
+        data, model, private, _, _ = trained
+        per_sample = np.mean([
+            np.argmax(private.inference_parts(x, VAL_STREAM_BASE + i, 0.0)[1]) == y
+            for i, (x, y) in enumerate(zip(data.val_x, data.val_y))
+        ])
+        batched = evaluate_main(model, private.params, private.buffers,
+                                data.val_x, data.val_y, DCFG, private.cfg)
+        assert batched == per_sample
 
     def test_alpha_zero_prediction_is_main_only(self):
         spec = dataclasses.replace(default_spec(r=DCFG.r), alpha=0.0)

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from reference_driver import train_in_process
 
 from asymsplit.datasets import synthetic_dataset
 from asymsplit.decompose import DecompositionConfig
 from asymsplit.model import Model, default_spec, softmax
 from asymsplit.privacy import calibrate
+from asymsplit.protocol import run_split_training
 from asymsplit.training import (
     SgdState,
     TrainConfig,
@@ -20,18 +23,20 @@ from asymsplit.training import (
     private_backprop,
     resolve_sigma,
     sgd_step,
-    train_two_stage,
 )
 
 DCFG = DecompositionConfig(r=4, t=8, t_prime=2, C=1.0)
 
 
 def tiny_run(n=64, ep1=1, ep2=1, seed=0, **cfg_kwargs):
+    """A split training run; returns the endpoints' parameters merged."""
     data = synthetic_dataset(n=n, seed=seed)
     model = Model(default_spec(r=4))
     params, buffers = model.init(seed=seed)
     cfg = TrainConfig(ep1=ep1, ep2=ep2, batch_size=16, seed=seed, **cfg_kwargs)
-    report = train_two_stage(model, params, buffers, data, DCFG, cfg)
+    report, _, private, public = run_split_training(model, params, buffers, data, DCFG, cfg)
+    params = {**private.params, **public.params}
+    buffers = {**private.buffers, **public.buffers}
     return model, params, buffers, report
 
 
@@ -191,20 +196,29 @@ class TestResolveSigma:
 
 class TestTwoStage:
     def test_losses_decrease_and_report_filled(self):
-        _, _, _, report = tiny_run(n=96, ep1=3, ep2=3)
+        model, _, _, report = tiny_run(n=96, ep1=3, ep2=3)
         assert report.stage1_loss[-1] < report.stage1_loss[0]
         assert report.stage2_res_loss[-1] < report.stage2_res_loss[0]
-        assert len(report.val_main) == 6
-        assert len(report.val_merged) == 3
+        assert len(report.stage1_loss) == 3 and len(report.stage2_main_loss) == 3
         assert report.sigma == 0.0 and report.accountant is None
-        assert report.bytes_by_phase == {"stage1": 0, "cache-build": 0, "stage2": 0}
+        # bytes that crossed the wire: 22-byte headers, one bit per residual
+        # entry, two float rows per stage-2 batch
+        n_train = len(synthetic_dataset(n=96, seed=0).train_x)
+        batches = -(-n_train // 16)
+        stage2 = 3 * (2 * 22 * batches + 2 * 8 * model.spec.num_classes * n_train)
+        assert report.bytes_by_phase == {
+            "stage1": 0,
+            "cache-build": n_train * (22 + model.spec.bb_channels * 16 * 16 // 8),
+            "stage2": stage2,
+            "inference": 0,
+        }
 
     def test_deterministic_end_to_end(self):
         _, p1, b1, r1 = tiny_run(n=64, ep1=2, ep2=2, seed=3)
         _, p2, b2, r2 = tiny_run(n=64, ep1=2, ep2=2, seed=3)
         assert r1.stage1_loss == r2.stage1_loss
         assert r1.stage2_main_loss == r2.stage2_main_loss
-        assert r1.val_merged == r2.val_merged
+        assert r1.stage2_res_loss == r2.stage2_res_loss
         for key in p1:
             assert p1[key].tobytes() == p2[key].tobytes(), key
         for key in b1:
@@ -236,8 +250,10 @@ class TestTwoStage:
         model = Model(default_spec(r=4))
         params, buffers = model.init(seed=1)
         cfg = TrainConfig(ep1=8, ep2=0, batch_size=32, seed=1)
-        report = train_two_stage(model, params, buffers, data, DCFG, cfg)
-        assert report.val_main[-1] >= 0.95
+        _, _, private, _ = run_split_training(model, params, buffers, data, DCFG, cfg)
+        acc = evaluate_main(model, private.params, private.buffers,
+                            data.val_x, data.val_y, DCFG, cfg)
+        assert acc >= 0.95
 
     def test_divergence_detected(self):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged):
@@ -248,9 +264,16 @@ class TestTwoStage:
         assert report.sigma > 0
         assert report.accountant["epsilon"] == 0.5
         assert report.accountant["p"] == pytest.approx(16 / 51)  # 20% val split
+        expected = calibrate(0.5, 1e-6, report.p, 1.0)
+        assert report.accountant == dataclasses.asdict(expected)
 
     def test_unquantized_ablation_runs(self):
-        _, _, _, report = tiny_run(n=64, ep1=1, ep2=2, quantize=False)
+        # the split driver refuses this configuration; the reference loop runs it
+        data = synthetic_dataset(n=64, seed=0)
+        model = Model(default_spec(r=4))
+        params, buffers = model.init(seed=0)
+        cfg = TrainConfig(ep1=1, ep2=2, batch_size=16, seed=0, quantize=False)
+        report = train_in_process(model, params, buffers, data, DCFG, cfg)
         assert len(report.stage2_res_loss) == 2
 
 
@@ -286,17 +309,15 @@ class TestEvaluate:
         assert noisy_off == clean
 
     def test_main_only_matches_evaluate(self):
-        # stage-1 epochs score the main head alone; it must read exactly
-        # what the full evaluation reports for that head
-        model, params, buffers, report = tiny_run(n=64, ep1=2, ep2=0)
+        # the main head scored alone must read exactly what the full
+        # evaluation reports for that head
+        model, params, buffers, _ = tiny_run(n=64, ep1=2, ep2=0)
         data = synthetic_dataset(n=64, seed=0)
         for batch_size in (16, 7):
             cfg = TrainConfig(batch_size=batch_size)
             main = evaluate_main(model, params, buffers, data.val_x, data.val_y, DCFG, cfg)
             full = evaluate(model, params, buffers, data.val_x, data.val_y, DCFG, cfg, sigma=2.0)
             assert main == full[0]
-        assert report.val_main[-1] == main
-        assert report.val_merged == []
 
     def test_noise_changes_with_sigma(self):
         data = synthetic_dataset(n=200, seed=2)
