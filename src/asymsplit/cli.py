@@ -43,6 +43,7 @@ from .protocol import (
     audit,
     run_split_inference,
     run_split_training,
+    split_params,
 )
 from .training import TrainConfig, TrainingDiverged, evaluate_main
 
@@ -222,7 +223,66 @@ def _spec_from_meta(meta: dict) -> ModelSpec:
     fields = dict(meta)
     fields["main_blocks"] = tuple(BlockSpec(**b) for b in meta["main_blocks"])
     fields["res_blocks"] = tuple(BlockSpec(**b) for b in meta["res_blocks"])
-    return ModelSpec(**fields)
+    spec = ModelSpec(**fields)
+    sizes = [spec.in_channels, spec.bb_channels, spec.bb_k, spec.num_classes]
+    for blk in spec.main_blocks + spec.res_blocks:
+        sizes += [blk.n, blk.k, blk.stride] + ([] if blk.q is None else [blk.q])
+    if not all(type(v) is int and v >= 1 for v in sizes):
+        raise ValueError("sizes, kernels and strides must be positive integers")
+    if type(spec.alpha) not in (int, float) or type(spec.normalize) is not bool:
+        raise ValueError("alpha must be a number and normalize a boolean")
+    return spec
+
+
+# every field cmd_infer reads, with the JSON type it must have
+_META_FIELDS = {"spec": dict, "decompose": dict, "seed": int, "quantize": bool,
+                "perturb_inference": bool, "sigma": (int, float)}
+
+
+def _model_from_meta(meta):
+    """(model, dcfg, tcfg, sigma) from checkpoint metadata, which is
+    untrusted: a missing or mistyped field raises ValueError naming it."""
+    if not isinstance(meta, dict):
+        raise ValueError(f"checkpoint metadata is a {type(meta).__name__}, not an object")
+    for name, kind in _META_FIELDS.items():
+        if name not in meta:
+            raise ValueError(f"checkpoint metadata has no {name!r} field")
+        value = meta[name]
+        # bool is an int subclass: true is no seed and no sigma
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ValueError(
+                f"checkpoint metadata field {name!r} is a {type(value).__name__}"
+            )
+    try:
+        model = Model(_spec_from_meta(meta["spec"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint metadata field 'spec' is invalid: {exc!r}") from None
+    try:
+        dcfg = DecompositionConfig(**meta["decompose"])
+        if not all(type(v) is int for v in (dcfg.r, dcfg.t, dcfg.t_prime)):
+            raise ValueError("r, t and t_prime must be integers")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint metadata field 'decompose' is invalid: {exc!r}") from None
+    sigma = meta["sigma"]
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"checkpoint metadata field 'sigma' is {sigma}, not finite and >= 0")
+    tcfg = TrainConfig(
+        seed=meta["seed"], quantize=meta["quantize"],
+        perturb_inference=meta["perturb_inference"],
+    )
+    return model, dcfg, tcfg, sigma
+
+
+def _check_tensors(label: str, tensors: dict, expected: dict) -> None:
+    """Refuse checkpoint tensors whose keys or shapes differ from the model's."""
+    want = {key: tuple(shape) for key, shape in expected.items()}
+    for key in sorted(want.keys() | tensors.keys()):
+        got = tensors[key].shape if key in tensors else None
+        if got != want.get(key):
+            raise ValueError(
+                f"checkpoint {label} {key!r} has shape {got}, "
+                f"the model its spec builds has {want.get(key)}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +405,14 @@ def cmd_infer(args) -> int:
 
     private_params, private_buffers, meta = load_checkpoint(ckpt_dir / "private.dltp")
     public_params, public_buffers, _ = load_checkpoint(ckpt_dir / "public.dltp")
-    model = Model(_spec_from_meta(meta["spec"]))
-    dcfg = DecompositionConfig(**meta["decompose"])
-    tcfg = TrainConfig(
-        seed=meta["seed"], quantize=meta["quantize"],
-        perturb_inference=meta["perturb_inference"],
+    model, dcfg, tcfg, sigma = _model_from_meta(meta)
+    (private_shapes, private_buffer_shapes), (public_shapes, public_buffer_shapes) = (
+        split_params(model.param_keys(), model.buffer_keys())
     )
+    _check_tensors("private parameter", private_params, private_shapes)
+    _check_tensors("private buffer", private_buffers, private_buffer_shapes)
+    _check_tensors("public parameter", public_params, public_shapes)
+    _check_tensors("public buffer", public_buffers, public_buffer_shapes)
 
     xs = _load_infer_images(args.images)
     if xs.shape[1] != model.spec.in_channels:
@@ -361,7 +423,7 @@ def cmd_infer(args) -> int:
     wire = Wire()
     private = PrivateEndpoint(model, private_params, private_buffers, dcfg, tcfg, wire)
     public = PublicEndpoint(model, public_params, public_buffers, tcfg, wire)
-    preds = run_split_inference(private, public, xs, sigma=meta["sigma"])
+    preds = run_split_inference(private, public, xs, sigma=sigma)
     for pred in preds:
         print(int(pred))
     return 0

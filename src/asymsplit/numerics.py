@@ -14,6 +14,11 @@ block size, cached, and handed out read-only; the block transforms are
 plain matmuls over a strided block view.  im2col takes its (b, H, W, k, k, c)
 window view straight from the padded NHWC buffer's strides and copies it
 once.
+
+A stride-1 input gradient is itself a correlation: grad_out, padded by
+k-1-pad, against the flipped kernel with its channel axes swapped.  It takes
+one im2col of grad_out and one GEMM with a c-column output, so no scatter-add
+runs; col2im serves strided convs only.
 """
 
 from __future__ import annotations
@@ -254,6 +259,16 @@ def conv2d_backward_batch(grad_out, x, weights, stride: int = 1, padding=0,
     grad_w = np.ascontiguousarray(grad_w)
     if not input_grad:
         return None, grad_w
-    grad_cols = g_flat @ _kernel_matrix(weights)
-    grad_x = col2im(grad_cols, x.shape, k, stride, pad)
-    return grad_x, grad_w
+    if stride != 1:
+        grad_x = col2im(g_flat @ _kernel_matrix(weights), x.shape, k, stride, pad)
+        return grad_x, grad_w
+    # stride 1: grad_x is the full correlation of grad_out with the flipped,
+    # channel-transposed kernel, at pad k-1-pad; a pad beyond k-1 only
+    # crops grad_out
+    full = k - 1 - pad
+    if full < 0:
+        grad_out = grad_out[:, :, -full : out_h + full, -full : out_w + full]
+        full = 0
+    flipped = weights[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, -1)
+    grad_x = im2col(grad_out, k, 1, full) @ flipped.T
+    return grad_x.reshape(b, h, w, c).transpose(0, 3, 1, 2), grad_w

@@ -429,14 +429,20 @@ def run_split_training(model: Model, params, buffers, data,
         # checked against C) before its first frame is sent; then one
         # residual-bits frame per training sample
         wire.phase = "cache-build"
+        # the same pass keeps every sample's ir_main on the private side:
+        # the backbone is frozen, so stage 2 reads these rows
+        main_parts = []
         residuals = compute_residuals(
-            model, private.params, private.buffers, data.train_x, dcfg, cfg.batch_size
+            model, private.params, private.buffers, data.train_x, dcfg, cfg.batch_size,
+            main_rows=main_parts,
         )
+        main_rows = np.concatenate(main_parts)
         try:
             cache = build_cache(residuals, privacy, cfg.seed, sigma=sigma)
         except ValueError as exc:
             raise ProtocolViolation(str(exc)) from None
-        del residuals  # only the released bits are needed from here on
+        # only the released bits and the ir_main rows are needed from here on
+        del residuals, main_parts
         for sample_id in cache.ids():
             wire.send("private", Frame(FrameKind.RESIDUAL_BITS, sample_id, cache.bits(sample_id)))
             frame = wire.recv("public", expect=FrameKind.RESIDUAL_BITS)
@@ -445,7 +451,7 @@ def run_split_training(model: Model, params, buffers, data,
         # stage 2: both sides derive the schedule; two frames per batch
         wire.phase = "stage2"
         stepper_private = Stage2Private(
-            model, private.params, private.buffers, dcfg, cfg, state_private, report
+            model, private.params, private.buffers, cfg, state_private, report
         )
         stepper_public = Stage2Public(
             model, public.params, public.buffers, public.store, cfg, SgdState()
@@ -459,7 +465,7 @@ def run_split_training(model: Model, params, buffers, data,
             for batch_no, (idx_priv, idx_pub) in enumerate(
                 zip(schedule_private, schedule_public)
             ):
-                stepper_private.prepare(data.train_x[idx_priv], y1h[idx_priv])
+                stepper_private.prepare(main_rows[idx_priv], y1h[idx_priv])
                 z_res = stepper_public.logits(idx_pub)
                 wire.send("public", frame_from_rows(FrameKind.LOGITS, batch_no, z_res))
 

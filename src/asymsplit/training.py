@@ -202,13 +202,21 @@ def run_stage1(model, params, buffers, data, dcfg, cfg, state, report):
 # Residuals (cache-build)
 # ---------------------------------------------------------------------------
 
-def compute_residuals(model: Model, params, buffers, xs, dcfg, batch_size: int):
-    """Normalized residual per training sample, backbone in eval mode."""
+def compute_residuals(model: Model, params, buffers, xs, dcfg, batch_size: int,
+                      main_rows=None):
+    """Normalized residual per training sample, backbone in eval mode.
+
+    The same pass forms every sample's ir_main; given a list, ``main_rows``
+    receives one array of them per batch, in sample order, so stage 2 can
+    read the frozen backbone's output instead of running it again.
+    """
     out = {}
     for start in range(0, len(xs), batch_size):
         xb = xs[start : start + batch_size]
         feats, _ = model.forward_backbone(params, buffers, xb, train=False)
-        _, ir_res = decompose_batch(feats, dcfg)
+        ir_main, ir_res = decompose_batch(feats, dcfg)
+        if main_rows is not None:
+            main_rows.append(ir_main)
         for j in range(len(xb)):
             out[start + j] = ir_res[j]
     return out
@@ -219,12 +227,13 @@ def compute_residuals(model: Model, params, buffers, xs, dcfg, batch_size: int):
 # ---------------------------------------------------------------------------
 
 class Stage2Private:
-    """Private-side batch step: recompute ir_main through the frozen
-    backbone, train the main head on merged logits, emit g_res."""
+    """Private-side batch step: train the main head on merged logits from
+    the batch's ir_main rows, emit g_res.  The backbone is frozen after
+    stage 1, so the caller hands in rows it formed once."""
 
-    def __init__(self, model, params, buffers, dcfg, cfg, state, report):
+    def __init__(self, model, params, buffers, cfg, state, report):
         self.model, self.params, self.buffers = model, params, buffers
-        self.dcfg, self.cfg, self.state, self.report = dcfg, cfg, state, report
+        self.cfg, self.state, self.report = cfg, state, report
         self.lr = cfg.lr
         self._pending = None
         self._losses_main, self._losses_res = [], []
@@ -233,9 +242,7 @@ class Stage2Private:
         self.lr = cosine_lr(self.cfg.lr, epoch, self.cfg.ep2)
         self._losses_main, self._losses_res = [], []
 
-    def prepare(self, xb, yb1h) -> None:
-        feats, _ = self.model.forward_backbone(self.params, self.buffers, xb, train=False)
-        ir_main, _ = decompose_main_batch(feats, self.dcfg)
+    def prepare(self, ir_main, yb1h) -> None:
         z_main, cache = self.model.forward_main(self.params, self.buffers, ir_main, train=True)
         self._pending = (z_main, cache, yb1h)
 

@@ -7,6 +7,7 @@ bitwise.  It also runs the unquantized ablation, whose perturbed floats the
 split driver refuses to send.
 """
 
+from asymsplit.decompose import decompose_main_batch
 from asymsplit.privacy import perturb, quantize
 from asymsplit.training import (
     SgdState,
@@ -38,14 +39,17 @@ def train_in_process(model, params, buffers, data, dcfg, cfg) -> TrainReport:
         noisy = perturb(res, report.sigma, cfg.seed, stream=sample_id)
         store[sample_id] = quantize(noisy) if cfg.quantize else noisy
 
-    private = Stage2Private(model, params, buffers, dcfg, cfg, state_private, report)
+    private = Stage2Private(model, params, buffers, cfg, state_private, report)
     public = Stage2Public(model, params, buffers, store, cfg, SgdState())
     y1h = one_hot(data.train_y, model.spec.num_classes)
     for epoch in range(cfg.ep2):
         private.begin_epoch(epoch)
         public.begin_epoch(epoch)
         for idx in batch_schedule(n, cfg.batch_size, cfg.seed, 2, epoch):
-            private.prepare(data.train_x[idx], y1h[idx])
+            # ir_main recomputed per batch, independent of the driver's rows
+            feats, _ = model.forward_backbone(params, buffers, data.train_x[idx], train=False)
+            ir_main, _ = decompose_main_batch(feats, dcfg)
+            private.prepare(ir_main, y1h[idx])
             public.apply_gradient(private.finish(public.logits(idx)))
         private.end_epoch()
     return report

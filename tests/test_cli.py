@@ -420,6 +420,83 @@ class TestInferCmd:
         assert main(["infer", "--ckpt", str(ckpt), "--images", str(images)]) == 2
         assert "unknown checkpoint section 7" in capsys.readouterr().err
 
+    def infer_with_meta(self, tiny_run, tmp_path, edit, tensors=None):
+        """Exit code of ``infer`` on the trained checkpoints with their
+        metadata (and optionally the private parameters) rewritten."""
+        out, _ = tiny_run
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        for name in ("private.dltp", "public.dltp"):
+            params, buffers, meta = load_checkpoint(out / "ckpt" / name)
+            if tensors is not None and name == "private.dltp":
+                tensors(params)
+            save_checkpoint(ckpt / name, params, buffers, edit(meta))
+        images = tmp_path / "x.npy"
+        np.save(images, np.zeros((1, 3, 16, 16)))
+        return main(["infer", "--ckpt", str(ckpt), "--images", str(images)])
+
+    def test_seed_only_metadata_is_data_error(self, tiny_run, tmp_path, capsys):
+        assert self.infer_with_meta(tiny_run, tmp_path, lambda meta: {"seed": 1}) == 2
+        assert "no 'spec' field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field", ["spec", "decompose", "seed", "quantize", "perturb_inference", "sigma"]
+    )
+    def test_missing_metadata_field_is_data_error(self, tiny_run, tmp_path, capsys, field):
+        def drop(meta):
+            del meta[field]
+            return meta
+
+        assert self.infer_with_meta(tiny_run, tmp_path, drop) == 2
+        assert f"no {field!r} field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("spec", [1, 2]), ("decompose", "r=4"), ("seed", 1.5), ("seed", True),
+        ("quantize", 1), ("perturb_inference", "yes"), ("sigma", "0.5"), ("sigma", -1.0),
+        ("spec", {"in_channels": 3}), ("decompose", {"r": 4}),
+        ("decompose", {"r": 4, "t": 8.0, "t_prime": 2}),
+    ])
+    def test_bad_metadata_field_is_data_error(self, tiny_run, tmp_path, capsys, field, value):
+        assert self.infer_with_meta(tiny_run, tmp_path, lambda meta: {**meta, field: value}) == 2
+        assert repr(field) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("num_classes", "4"), ("alpha", "one"), ("normalize", 1), ("bb_k", 0),
+        ("res_blocks", [{"n": 24, "k": 3, "stride": 0}, {"n": 48, "k": 3, "stride": 2}]),
+    ])
+    def test_bad_spec_value_is_data_error(self, tiny_run, tmp_path, capsys, key, value):
+        def edit(meta):
+            meta["spec"][key] = value
+            return meta
+
+        assert self.infer_with_meta(tiny_run, tmp_path, edit) == 2
+        assert "'spec'" in capsys.readouterr().err
+
+    def test_metadata_not_an_object_is_data_error(self, tiny_run, tmp_path, capsys):
+        assert self.infer_with_meta(tiny_run, tmp_path, lambda meta: [meta]) == 2
+        assert "not an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", ["drop", "extra", "reshape"])
+    def test_parameters_unlike_spec_are_data_error(self, tiny_run, tmp_path, capsys, change):
+        def tensors(params):
+            if change == "drop":
+                del params["main/fc/b"]
+            elif change == "extra":
+                params["main/fc/extra"] = np.zeros(2)
+            else:
+                params["main/fc/b"] = np.zeros(5)
+
+        assert self.infer_with_meta(tiny_run, tmp_path, lambda m: m, tensors) == 2
+        assert "private parameter 'main/fc/" in capsys.readouterr().err
+
+    def test_wider_spec_than_parameters_is_data_error(self, tiny_run, tmp_path, capsys):
+        def edit(meta):
+            meta["spec"]["bb_channels"] = 16
+            return meta
+
+        assert self.infer_with_meta(tiny_run, tmp_path, edit) == 2
+        assert "the model its spec builds" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_usage_error(self, tmp_path, capsys):
         images = tmp_path / "x.npy"
         np.save(images, np.zeros((1, 3, 16, 16)))

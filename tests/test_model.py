@@ -222,7 +222,10 @@ class TestLayerGradients:
         layer.init(rng, params)
         params["n/scale"] = rng.normal(size=3) + 1.0
         params["n/shift"] = rng.normal(size=3)
-        x = rng.normal(size=(4, 3, 5, 5))
+        # the NCHW view of an NHWC array, as convolutions return it;
+        # finite differences perturb the NHWC array under it
+        nhwc = rng.normal(size=(4, 5, 6, 3))
+        x = nhwc.transpose(0, 3, 1, 2)
 
         def fresh_buffers():
             b = {}
@@ -238,11 +241,59 @@ class TestLayerGradients:
             out, _ = layer.forward(params, fresh_buffers(), x, True)
             return float(np.sum(proj * out))
 
-        fd_x = central_diff(lambda: loss(), x)
+        fd_x = central_diff(lambda: loss(), nhwc).transpose(0, 3, 1, 2)
         assert np.linalg.norm(gx - fd_x) / np.linalg.norm(fd_x) <= 1e-5
         for key in ("n/scale", "n/shift"):
             fd = central_diff(lambda: loss(), params[key])
             assert np.linalg.norm(grads[key] - fd) / np.linalg.norm(fd) <= 1e-5
+
+    def test_channel_norm_eval_mode(self):
+        rng = np.random.default_rng(12)
+        layer = ChannelNorm("n", 3)
+        params = {"n/scale": rng.normal(size=3) + 1.0, "n/shift": rng.normal(size=3)}
+        buffers = {"n/running_mean": rng.normal(size=3),
+                   "n/running_var": rng.uniform(0.5, 2.0, size=3)}
+        nhwc = rng.normal(size=(4, 5, 6, 3))
+        x = nhwc.transpose(0, 3, 1, 2)
+        y, cache = layer.forward(params, buffers, x, False)
+        inv = 1.0 / np.sqrt(buffers["n/running_var"] + 1e-5)
+        xhat = (x - buffers["n/running_mean"][:, None, None]) * inv[:, None, None]
+        np.testing.assert_allclose(
+            y, params["n/scale"][:, None, None] * xhat + params["n/shift"][:, None, None],
+            rtol=0, atol=1e-12,
+        )
+        proj = rng.normal(size=y.shape)
+        grads = {}
+        gx = layer.backward(params, cache, proj, grads)
+
+        def loss():
+            out, _ = layer.forward(params, buffers, x, False)
+            return float(np.sum(proj * out))
+
+        for arr, got in ((nhwc, gx.transpose(0, 2, 3, 1)), (params["n/scale"], grads["n/scale"]),
+                         (params["n/shift"], grads["n/shift"])):
+            fd = central_diff(lambda: loss(), arr)
+            assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-5
+
+    def test_channel_norm_running_statistics(self):
+        rng = np.random.default_rng(13)
+        layer = ChannelNorm("n", 4)
+        params, buffers = {}, {}
+        layer.init(rng, params)
+        buffers = {"n/running_mean": rng.normal(size=4),
+                   "n/running_var": rng.uniform(0.5, 2.0, size=4)}
+        before = {k: v.copy() for k, v in buffers.items()}
+        x = 3.0 + 2.0 * rng.normal(size=(8, 6, 5, 4)).transpose(0, 3, 1, 2)
+        layer.forward(params, buffers, x, True)
+        # the exponential moving average of the batch's mean and biased variance
+        np.testing.assert_allclose(
+            buffers["n/running_mean"],
+            0.9 * before["n/running_mean"] + 0.1 * x.mean(axis=(0, 2, 3)), rtol=0, atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            buffers["n/running_var"],
+            0.9 * before["n/running_var"] + 0.1 * x.var(axis=(0, 2, 3)), rtol=0, atol=1e-12,
+        )
 
     def test_channel_norm_normalizes(self):
         rng = np.random.default_rng(11)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from asymsplit import numerics
 from asymsplit.numerics import (
     SvdFactors,
     as_tensor3,
@@ -328,6 +329,50 @@ class TestConv2dBackward:
         assert gx is None
         assert gw_leaf.shape == w.shape and gw_leaf.flags.c_contiguous
         assert gw_leaf.tobytes() == gw_full.tobytes()
+
+    @staticmethod
+    def col2im_input_grad(grad_out, x_shape, w, stride, pad):
+        """The scatter-add formulation: grad_out times the kernel matrix,
+        each column added back where im2col read it."""
+        n, _, k, _ = w.shape
+        pad = k // 2 if pad == "same" else pad
+        g_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, n)
+        return col2im(g_flat @ w.transpose(0, 2, 3, 1).reshape(n, -1), x_shape, k, stride, pad)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("pad", [0, 1, "same"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_stride1_input_grad_is_correlation(self, monkeypatch, k, pad, batch):
+        # stride 1 forms grad_x as a correlation, never through col2im
+        rng = np.random.default_rng(36)
+        xs = rng.normal(size=(batch, 3, 7, 5))
+        w = rng.normal(size=(4, 3, k, k))
+        proj = rng.normal(size=conv2d_forward_batch(xs, w, 1, pad).shape)
+        expected = self.col2im_input_grad(proj, xs.shape, w, 1, pad)
+
+        def no_col2im(*args):
+            raise AssertionError("col2im called for a stride-1 input gradient")
+
+        monkeypatch.setattr(numerics, "col2im", no_col2im)
+        gx, _ = conv2d_backward_batch(proj, xs, w, 1, pad)
+        assert gx.shape == xs.shape
+        np.testing.assert_allclose(gx, expected, rtol=0, atol=1e-12)
+
+    def test_strided_input_grad_goes_through_col2im(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        xs = rng.normal(size=(3, 3, 7, 6))
+        w = rng.normal(size=(4, 3, 3, 3))
+        proj = rng.normal(size=conv2d_forward_batch(xs, w, 2, 1).shape)
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1])
+            return col2im(*args)
+
+        monkeypatch.setattr(numerics, "col2im", spy)
+        gx, _ = conv2d_backward_batch(proj, xs, w, 2, 1)
+        assert calls == [xs.shape]
+        assert gx.tobytes() == self.col2im_input_grad(proj, xs.shape, w, 2, 1).tobytes()
 
     def test_grad_shape_mismatch_rejected(self):
         x = np.zeros((1, 4, 4))

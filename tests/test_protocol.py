@@ -12,7 +12,7 @@ from reference_driver import train_in_process
 
 from asymsplit import protocol
 from asymsplit.datasets import synthetic_dataset
-from asymsplit.decompose import DecompositionConfig
+from asymsplit.decompose import DecompositionConfig, decompose_main_batch
 from asymsplit.model import Model, default_spec, forward_full
 from asymsplit.protocol import (
     Frame,
@@ -361,8 +361,8 @@ class TestSplitTraining:
         # for the earlier ones by the time the driver refuses
         real = protocol.compute_residuals
 
-        def one_too_large(*args):
-            residuals = real(*args)
+        def one_too_large(*args, **kwargs):
+            residuals = real(*args, **kwargs)
             residuals[max(residuals)] = 2.0 * residuals[max(residuals)]
             return residuals
 
@@ -381,6 +381,43 @@ class TestSplitTraining:
         (wire,) = wires
         assert wire.phase == "cache-build"
         assert not [e for e in wire.transcript.entries if e.kind == "residual-bits"]
+
+    def test_stage2_reads_ir_main_rows_of_the_frozen_backbone(self, monkeypatch):
+        # the rows each stage-2 step receives are the ones a per-batch
+        # recompute through the (frozen) backbone would give, bit for bit
+        received = []
+        real = protocol.Stage2Private.prepare
+
+        def spy(self, ir_main, yb1h):
+            received.append(ir_main.copy())
+            return real(self, ir_main, yb1h)
+
+        monkeypatch.setattr(protocol.Stage2Private, "prepare", spy)
+        data, model, params, buffers, cfg = tiny_setup(ep2=2)
+        _, _, private, _ = run_split_training(model, params, buffers, data, DCFG, cfg)
+        n = len(data.train_x)
+        schedules = [batch_schedule(n, cfg.batch_size, cfg.seed, 2, e) for e in range(2)]
+        batches = [idx for schedule in schedules for idx in schedule]
+        assert len(received) == len(batches) and n % cfg.batch_size
+        for rows, idx in zip(received, batches):
+            feats, _ = model.forward_backbone(
+                private.params, private.buffers, data.train_x[idx], train=False
+            )
+            assert np.array_equal(rows, decompose_main_batch(feats, DCFG)[0])
+
+    def test_backbone_runs_in_stage1_and_cache_build_only(self, monkeypatch):
+        calls = []
+        real = Model.forward_backbone
+
+        def spy(self, *args, **kwargs):
+            calls.append(len(args[2]))
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward_backbone", spy)
+        data, model, params, buffers, cfg = tiny_setup(ep1=2, ep2=3)
+        run_split_training(model, params, buffers, data, DCFG, cfg)
+        batches = -(-len(data.train_x) // cfg.batch_size)
+        assert len(calls) == cfg.ep1 * batches + batches
 
     def test_socket_mode_matches_memory_mode(self):
         data, model, params, buffers, cfg = tiny_setup(n=32, ep2=1)
