@@ -6,9 +6,12 @@ amplifies the guarantee, so the per-mechanism budget (eps', delta') that
 sigma is scaled to is laxer than the advertised (eps, delta).
 """
 
+import dataclasses
+import json
+
 import numpy as np
 
-from asymsplit.privacy import amplify, calibrate, format_accountant, perturb, quantize
+from asymsplit.privacy import amplify, calibrate, perturb, quantize
 
 DELTA = 1e-6
 
@@ -26,7 +29,7 @@ print("only needs to defend the rare batches a record appears in.")
 params = calibrate(1.0, DELTA, 0.1, 1.0)
 back = amplify(params.eps_prime, params.delta_prime, params.p)
 print("\ncalibrate(eps=1, p=0.1) then amplify back:")
-print(format_accountant(params))
+print(json.dumps(dataclasses.asdict(params)))
 print(f"amplified: eps={back[0]:.15f} delta={back[1]:.2e}")
 
 # --- what the noise does to the released bits -----------------------------

@@ -71,7 +71,11 @@ def _parse_optional_float(text: str):
     return float(text)
 
 
-# key -> (parser, default)
+# parser for each annotation a TrainConfig field has
+_FIELD_PARSERS = {"int": int, "float": float, "bool": _parse_bool,
+                  "float | None": _parse_optional_float}
+
+# key -> (parser, default); the train.* keys are TrainConfig's fields
 CONFIG_KEYS = {
     "data.kind": (str, "synthetic"),            # synthetic | idx
     "data.images": (str, ""),                   # idx image file
@@ -86,19 +90,8 @@ CONFIG_KEYS = {
     "decompose.t_prime": (int, 2),
     "decompose.C": (float, 1.0),
     "model.alpha": (float, 1.0),
-    "train.ep1": (int, 15),
-    "train.ep2": (int, 15),
-    "train.batch_size": (int, 64),
-    "train.lr": (float, 0.05),
-    "train.weight_decay": (float, 2e-4),
-    "train.momentum": (float, 0.9),
-    "train.orth_coeff": (float, 8e-4),
-    "train.epsilon": (float, math.inf),
-    "train.delta": (float, 1e-6),
-    "train.sigma": (_parse_optional_float, None),
-    "train.quantize": (_parse_bool, True),
-    "train.perturb_inference": (_parse_bool, True),
-    "train.seed": (int, 0),
+    **{f"train.{f.name}": (_FIELD_PARSERS[f.type], f.default)
+       for f in dataclasses.fields(TrainConfig)},
     "protocol.mode": (str, "memory"),           # memory | socket
     "spectrum.samples": (int, 32),
     "out": (str, "run"),
@@ -183,94 +176,85 @@ def build_dataset(cfg: dict) -> Dataset:
     )
 
 
-def decomposition_config(cfg: dict) -> DecompositionConfig:
-    return DecompositionConfig(
-        r=cfg["decompose.r"], t=cfg["decompose.t"],
-        t_prime=cfg["decompose.t_prime"], C=cfg["decompose.C"],
-    )
+def config_from_keys(cls, cfg: dict, prefix: str):
+    """The dataclass ``cls`` built from the ``prefix.<field>`` keys, one per field."""
+    return cls(**{f.name: cfg[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)})
 
 
-def train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        ep1=cfg["train.ep1"], ep2=cfg["train.ep2"],
-        batch_size=cfg["train.batch_size"], lr=cfg["train.lr"],
-        weight_decay=cfg["train.weight_decay"], momentum=cfg["train.momentum"],
-        orth_coeff=cfg["train.orth_coeff"], epsilon=cfg["train.epsilon"],
-        delta=cfg["train.delta"], sigma=cfg["train.sigma"],
-        quantize=cfg["train.quantize"],
-        perturb_inference=cfg["train.perturb_inference"], seed=cfg["train.seed"],
-    )
-
-
-def model_spec(cfg: dict, in_channels: int) -> ModelSpec:
-    spec = default_spec(r=cfg["decompose.r"])
-    return dataclasses.replace(spec, in_channels=in_channels, alpha=cfg["model.alpha"])
+def model_spec(cfg: dict, data: Dataset) -> ModelSpec:
+    """The shipped architecture, sized to the data's channels and classes."""
+    return default_spec(r=cfg["decompose.r"], num_classes=data.num_classes,
+                        alpha=cfg["model.alpha"], in_channels=data.train_x.shape[1])
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint metadata: enough to rebuild the model away from the run dir
 # ---------------------------------------------------------------------------
 
-
-def _spec_to_meta(spec: ModelSpec) -> dict:
-    as_dict = dataclasses.asdict(spec)
-    as_dict["main_blocks"] = [dataclasses.asdict(b) for b in spec.main_blocks]
-    as_dict["res_blocks"] = [dataclasses.asdict(b) for b in spec.res_blocks]
-    return as_dict
-
-
-def _spec_from_meta(meta: dict) -> ModelSpec:
-    fields = dict(meta)
-    fields["main_blocks"] = tuple(BlockSpec(**b) for b in meta["main_blocks"])
-    fields["res_blocks"] = tuple(BlockSpec(**b) for b in meta["res_blocks"])
-    spec = ModelSpec(**fields)
-    sizes = [spec.in_channels, spec.bb_channels, spec.bb_k, spec.num_classes]
-    for blk in spec.main_blocks + spec.res_blocks:
-        sizes += [blk.n, blk.k, blk.stride] + ([] if blk.q is None else [blk.q])
-    if not all(type(v) is int and v >= 1 for v in sizes):
-        raise ValueError("sizes, kernels and strides must be positive integers")
-    if type(spec.alpha) not in (int, float) or type(spec.normalize) is not bool:
-        raise ValueError("alpha must be a number and normalize a boolean")
-    return spec
+# Metadata is untrusted.  The table holds every field infer reads as
+# name -> (JSON types, least value): a dict is an object with exactly
+# those fields, and a one-item list a list of such objects.  Types match
+# exactly, so true is no int, and a float must be finite.
+_SIZE, _NUMBER, _BOOL = ((int,), 1), ((int, float), None), ((bool,), None)
+_BLOCKS = ([{"n": _SIZE, "k": _SIZE, "stride": _SIZE, "q": ((int, type(None)), 1)}], None)
+_META = ({
+    "spec": ({"in_channels": _SIZE, "bb_channels": _SIZE, "bb_k": _SIZE,
+              "main_blocks": _BLOCKS, "res_blocks": _BLOCKS, "num_classes": _SIZE,
+              "alpha": _NUMBER, "normalize": _BOOL}, None),
+    "decompose": ({"r": _SIZE, "t": _SIZE, "t_prime": _SIZE, "C": _NUMBER}, None),
+    "seed": ((int,), 0),
+    "quantize": _BOOL,
+    "perturb_inference": _BOOL,
+    "sigma": ((int, float), 0),
+}, None)
 
 
-# every field cmd_infer reads, with the JSON type it must have
-_META_FIELDS = {"spec": dict, "decompose": dict, "seed": int, "quantize": bool,
-                "perturb_inference": bool, "sigma": (int, float)}
+def _check_meta(value, rule, path="") -> None:
+    """Raise a ValueError naming the field unless ``value`` obeys ``rule``."""
+    kind, low = rule
+    what = f"checkpoint metadata field {path}" if path else "checkpoint metadata"
+    if isinstance(kind, dict):
+        if type(value) is not dict:
+            raise ValueError(f"{what} is a {type(value).__name__}, not an object")
+        unknown = sorted(value.keys() - kind.keys())
+        if unknown:
+            raise ValueError(f"{what} has an unknown key {unknown[0]!r}")
+        for key, sub in kind.items():
+            if key not in value:
+                raise ValueError(f"{what} has no {key!r} field")
+            _check_meta(value[key], sub, f"{path}[{key!r}]" if path else repr(key))
+    elif isinstance(kind, list):
+        if type(value) is not list:
+            raise ValueError(f"{what} is a {type(value).__name__}, not a list")
+        for i, item in enumerate(value):
+            _check_meta(item, (kind[0], None), f"{path}[{i}]")
+    elif type(value) not in kind:
+        raise ValueError(f"{what} is a {type(value).__name__}")
+    elif type(value) is float and not math.isfinite(value):
+        raise ValueError(f"{what} is {value}, not a finite number")
+    elif low is not None and value is not None and value < low:
+        raise ValueError(f"{what} is {value}, below {low}")
 
 
 def _model_from_meta(meta):
-    """(model, dcfg, tcfg, sigma) from checkpoint metadata, which is
-    untrusted: a missing or mistyped field raises ValueError naming it."""
-    if not isinstance(meta, dict):
-        raise ValueError(f"checkpoint metadata is a {type(meta).__name__}, not an object")
-    for name, kind in _META_FIELDS.items():
-        if name not in meta:
-            raise ValueError(f"checkpoint metadata has no {name!r} field")
-        value = meta[name]
-        # bool is an int subclass: true is no seed and no sigma
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            raise ValueError(
-                f"checkpoint metadata field {name!r} is a {type(value).__name__}"
-            )
+    """(model, dcfg, tcfg, sigma) from checkpoint metadata that obeys the
+    table; what the dataclasses refuse on top is named by its field."""
+    _check_meta(meta, _META)
+    spec = dict(meta["spec"])
+    for key in ("main_blocks", "res_blocks"):
+        spec[key] = tuple(BlockSpec(**block) for block in spec[key])
     try:
-        model = Model(_spec_from_meta(meta["spec"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"checkpoint metadata field 'spec' is invalid: {exc!r}") from None
+        model = Model(ModelSpec(**spec))
+    except ValueError as exc:
+        raise ValueError(f"checkpoint metadata field 'spec' is invalid: {exc}") from None
     try:
         dcfg = DecompositionConfig(**meta["decompose"])
-        if not all(type(v) is int for v in (dcfg.r, dcfg.t, dcfg.t_prime)):
-            raise ValueError("r, t and t_prime must be integers")
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"checkpoint metadata field 'decompose' is invalid: {exc!r}") from None
-    sigma = meta["sigma"]
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"checkpoint metadata field 'sigma' is {sigma}, not finite and >= 0")
+    except ValueError as exc:
+        raise ValueError(f"checkpoint metadata field 'decompose' is invalid: {exc}") from None
     tcfg = TrainConfig(
-        seed=meta["seed"], quantize=meta["quantize"],
-        perturb_inference=meta["perturb_inference"],
+        seed=meta["seed"], quantize=meta["quantize"], perturb_inference=meta["perturb_inference"]
     )
-    return model, dcfg, tcfg, sigma
+    return model, dcfg, tcfg, meta["sigma"]
 
 
 def _check_tensors(label: str, tensors: dict, expected: dict) -> None:
@@ -322,10 +306,10 @@ def cmd_account(args) -> int:
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     data = build_dataset(cfg)
-    dcfg = decomposition_config(cfg)
-    tcfg = train_config(cfg)
+    dcfg = config_from_keys(DecompositionConfig, cfg, "decompose")
+    tcfg = config_from_keys(TrainConfig, cfg, "train")
 
-    model = Model(model_spec(cfg, in_channels=data.train_x.shape[1]))
+    model = Model(model_spec(cfg, data))
     params, buffers = model.init(tcfg.seed)
     channel = SocketChannel() if cfg["protocol.mode"] == "socket" else None
     report, wire, private, public = run_split_training(
@@ -354,7 +338,7 @@ def cmd_train(args) -> int:
     out_dir.joinpath("transcript.csv").write_text(wire.transcript.to_csv())
 
     meta = {
-        "spec": _spec_to_meta(model.spec),
+        "spec": dataclasses.asdict(model.spec),
         "decompose": dataclasses.asdict(dcfg),
         "sigma": report.sigma,
         "seed": tcfg.seed,

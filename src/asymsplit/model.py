@@ -21,11 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .decompose import decompose_batch
 from .numerics import (
     conv2d_backward_batch,
     conv2d_forward_batch,
     conv_out_size,
 )
+from .privacy import perturb, quantize
 
 CHECKPOINT_MAGIC = b"DLTP"
 _NORM_EPS = 1e-5
@@ -617,24 +619,32 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def private_forward(model: Model, params, buffers, xb, dcfg):
+    """The private side's one eval-mode pass over a (b, c, h, w) batch.
+
+    Backbone, then the decomposition, then the main head.  Returns
+    (z_main, ir_res): the main logits stay private, and the clipped
+    residuals are what perturbation and quantization turn into bits.
+    """
+    feats, _ = model.forward_backbone(params, buffers, xb, train=False)
+    ir_main, ir_res = decompose_batch(feats, dcfg)
+    z_main, _ = model.forward_main(params, buffers, ir_main, train=False)
+    return z_main, ir_res
+
+
 def forward_full(model: Model, params, buffers, x, dcfg, sigma: float = 0.0,
                  seed: int = 0, stream: int = 0, residual_bits=None):
     """Monolithic single-sample forward over the whole pipeline.
 
-    Runs backbone, decomposition, (optional) perturbation and quantization,
-    both branches, and the private-side merge.  ``residual_bits`` overrides
-    the locally produced bits so a caller can replay cached ones.  Returns
-    (z_main, z_res, prediction).
+    Runs the private pass, (optional) perturbation and quantization, the
+    residual branch, and the private-side merge.  ``residual_bits``
+    overrides the locally produced bits so a caller can replay cached
+    ones.  Returns (z_main, z_res, prediction).
     """
-    from .decompose import decompose
-    from .privacy import perturb, quantize
-
     x = np.asarray(x, dtype=np.float64)
-    feat, _ = model.forward_backbone(params, buffers, x[None], train=False)
-    out = decompose(feat[0], dcfg)
+    z_main, ir_res = private_forward(model, params, buffers, x[None], dcfg)
     if residual_bits is None:
-        residual_bits = quantize(perturb(out.ir_res, sigma, seed, stream))
-    z_main, _ = model.forward_main(params, buffers, out.ir_main[None], train=False)
+        residual_bits = quantize(perturb(ir_res[0], sigma, seed, stream))
     z_res, _ = model.forward_res(params, buffers, residual_bits[None], train=False)
     merged = z_main[0] + model.spec.alpha * z_res[0]
     return z_main[0], z_res[0], int(np.argmax(merged))

@@ -89,13 +89,6 @@ def calibrate(epsilon: float, delta: float, p: float, C: float) -> PrivacyParams
     )
 
 
-def format_accountant(params: PrivacyParams) -> str:
-    """JSON text for the accountant, every value at 12 significant digits."""
-    keys = ("epsilon", "delta", "p", "C", "eps_prime", "delta_prime", "sigma")
-    body = ",\n".join(f'  "{k}": {getattr(params, k):.12g}' for k in keys)
-    return "{\n" + body + "\n}\n"
-
-
 def noise_stream(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed by (seed, stream); order-independent draws."""
     if not 0 <= seed < 2**64:

@@ -27,8 +27,10 @@ from enum import IntEnum
 
 import numpy as np
 
-from .decompose import DecompositionConfig, decompose_batch
-from .model import Model
+# decompose_batch is unused here, but the benchmark's tracer test reads
+# protocol.decompose_batch (perfbench/tests/test_perfbench.py::TestInstall)
+from .decompose import DecompositionConfig, decompose_batch  # noqa: F401
+from .model import Model, private_forward
 from .privacy import build_cache, perturb, quantize
 from .training import (
     SgdState,
@@ -308,12 +310,19 @@ class Wire:
         self.transcript.record(direction, frame.kind.wire_name, len(raw), self.phase)
         self.channel.send(sender, raw)
 
-    def recv(self, receiver: str, expect: FrameKind) -> Frame:
+    def recv(self, receiver: str, expect: FrameKind, shape=None) -> Frame:
+        """The next frame for ``receiver``, which must be of kind ``expect``
+        and, given a (c, h, w) tuple ``shape``, carry data of that shape."""
         frame = decode_frame(self.channel.recv(receiver))
         if frame.kind != expect:
             raise ProtocolViolation(
                 f"{receiver} endpoint got {frame.kind.wire_name!r}, "
                 f"expected {expect.wire_name!r} in phase {self.phase!r}"
+            )
+        if shape is not None and frame.data.shape != shape:
+            raise ProtocolViolation(
+                f"{receiver} endpoint got a {expect.wire_name!r} frame of shape "
+                f"{frame.data.shape}, expected {shape} in phase {self.phase!r}"
             )
         return frame
 
@@ -342,11 +351,9 @@ class PrivateEndpoint:
         self.dcfg, self.cfg, self.wire = dcfg, cfg, wire
 
     def inference_parts(self, x, stream: int, sigma: float):
-        """One backbone pass: the residual bits to ship and z_main to keep."""
-        feats, _ = self.model.forward_backbone(self.params, self.buffers, x[None], train=False)
-        ir_main, ir_res = decompose_batch(feats, self.dcfg)
+        """One private pass: the residual bits to ship and z_main to keep."""
+        z_main, ir_res = private_forward(self.model, self.params, self.buffers, x[None], self.dcfg)
         bits = quantize(perturb(ir_res[0], sigma, self.cfg.seed, stream))
-        z_main, _ = self.model.forward_main(self.params, self.buffers, ir_main, train=False)
         return bits, z_main[0]
 
 
@@ -376,19 +383,22 @@ def run_split_inference(private: PrivateEndpoint, public: PublicEndpoint, xs,
     """Per-sample inference over the wire; predictions stay private."""
     wire = private.wire
     wire.phase = "inference"
-    alpha = private.model.spec.alpha
+    spec = private.model.spec
     eval_sigma = sigma if private.cfg.perturb_inference else 0.0
+    xs = np.asarray(xs, dtype=np.float64)
+    bits_shape = (spec.bb_channels, *xs.shape[2:])
     preds = np.empty(len(xs), dtype=np.int64)
-    for i, x in enumerate(np.asarray(xs, dtype=np.float64)):
+    for i, x in enumerate(xs):
         bits, z_main = private.inference_parts(x, VAL_STREAM_BASE + i, eval_sigma)
         wire.send("private", Frame(FrameKind.RESIDUAL_BITS, i, bits))
 
-        request = wire.recv("public", expect=FrameKind.RESIDUAL_BITS)
+        request = wire.recv("public", FrameKind.RESIDUAL_BITS, bits_shape)
         z_res = public.res_logits(request.data)
         wire.send("public", frame_from_rows(FrameKind.LOGITS, i, z_res))
 
-        z_res = rows_from_frame(wire.recv("private", expect=FrameKind.LOGITS))[0]
-        preds[i] = int(np.argmax(z_main + alpha * z_res))
+        z_frame = wire.recv("private", FrameKind.LOGITS, (1, spec.num_classes, 1))
+        z_res = rows_from_frame(z_frame)[0]
+        preds[i] = int(np.argmax(z_main + spec.alpha * z_res))
     return preds
 
 
@@ -443,9 +453,10 @@ def run_split_training(model: Model, params, buffers, data,
             raise ProtocolViolation(str(exc)) from None
         # only the released bits and the ir_main rows are needed from here on
         del residuals, main_parts
+        bits_shape = (model.spec.bb_channels, *data.train_x.shape[2:])
         for sample_id in cache.ids():
             wire.send("private", Frame(FrameKind.RESIDUAL_BITS, sample_id, cache.bits(sample_id)))
-            frame = wire.recv("public", expect=FrameKind.RESIDUAL_BITS)
+            frame = wire.recv("public", FrameKind.RESIDUAL_BITS, bits_shape)
             public.store[frame.frame_id] = frame.data
 
         # stage 2: both sides derive the schedule; two frames per batch
@@ -456,7 +467,8 @@ def run_split_training(model: Model, params, buffers, data,
         stepper_public = Stage2Public(
             model, public.params, public.buffers, public.store, cfg, SgdState()
         )
-        y1h = one_hot(data.train_y, model.spec.num_classes)
+        k = model.spec.num_classes
+        y1h = one_hot(data.train_y, k)
         for epoch in range(cfg.ep2):
             stepper_private.begin_epoch(epoch)
             stepper_public.begin_epoch(epoch)
@@ -469,11 +481,11 @@ def run_split_training(model: Model, params, buffers, data,
                 z_res = stepper_public.logits(idx_pub)
                 wire.send("public", frame_from_rows(FrameKind.LOGITS, batch_no, z_res))
 
-                z_frame = wire.recv("private", expect=FrameKind.LOGITS)
+                z_frame = wire.recv("private", FrameKind.LOGITS, (len(idx_priv), k, 1))
                 g_res = stepper_private.finish(rows_from_frame(z_frame))
                 wire.send("private", frame_from_rows(FrameKind.GRADIENT, batch_no, g_res))
 
-                g_frame = wire.recv("public", expect=FrameKind.GRADIENT)
+                g_frame = wire.recv("public", FrameKind.GRADIENT, (len(idx_pub), k, 1))
                 stepper_public.apply_gradient(rows_from_frame(g_frame))
             stepper_private.end_epoch()
 

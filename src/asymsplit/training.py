@@ -6,7 +6,8 @@ perturbed and quantized exactly once into the one-shot cache.  Stage 2
 continues training the main branch (on merged logits) while the residual
 branch trains on cached bits, exchanging only logits and its own softmax
 gradient g_res = softmax(z_res) - y, which is formed without ever reading
-z_main.
+z_main.  It does reveal the labels: the public side formed z_res, so
+y = softmax(z_res) - g_res gives it every stage-2 label.
 
 This module holds the steps; ``protocol.run_split_training`` is the one
 driver that runs them, with every frame crossing the wire.  The batch
@@ -14,7 +15,7 @@ schedule is a pure function of (seed, stage, epoch), so both sides derive
 it independently and no sample ids need to travel during stage 2.
 epsilon = inf is the no-noise setting: sigma is 0 and no accountant
 output is produced.  ``evaluate``/``evaluate_main`` score trained
-parameters once a run is over.
+parameters once a run is over, through ``model.private_forward``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decompose import decompose_batch, decompose_main_adjoint, decompose_main_batch
-from .model import Model, orth_reg, softmax
+from .model import Model, orth_reg, private_forward, softmax
 from .privacy import calibrate, perturb, quantize
 
 # validation-time noise streams live in their own key range so they can
@@ -34,7 +35,7 @@ VAL_STREAM_BASE = 2**32
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss or gradient stops being finite."""
+    """Raised when a loss, a weight or the backbone's output stops being finite."""
 
 
 @dataclass(frozen=True)
@@ -133,14 +134,15 @@ class SgdState:
 def sgd_step(params, grads, cfg: TrainConfig, state: SgdState, lr: float) -> None:
     """Momentum SGD with weight decay on every key present in ``grads``."""
     for key in sorted(grads):
-        g = grads[key]
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged(f"non-finite gradient for {key}")
-        g = g + cfg.weight_decay * params[key]
+        g = grads[key] + cfg.weight_decay * params[key]
         v = state.velocities.get(key)
         v = g if v is None else cfg.momentum * v + g
         state.velocities[key] = v
-        params[key] = params[key] - lr * v
+        w = params[key] = params[key] - lr * v
+        # a non-finite gradient or rate shows here too; the weight decay
+        # term needs the squared norm, so a finite weight can overflow it
+        if not math.isfinite(np.vdot(w, w)):
+            raise TrainingDiverged(f"update left {key} with a non-finite squared norm")
 
 
 def batch_schedule(n: int, batch_size: int, seed: int, stage: int, epoch: int):
@@ -170,6 +172,10 @@ def _orth_penalty(params, grads, coeff: float) -> float:
 
 def stage1_batch(model: Model, params, buffers, xb, yb1h, dcfg, cfg, state, lr) -> float:
     feats, bb_cache = model.forward_backbone(params, buffers, xb, train=True)
+    # finite squares bound every Gram entry the decomposition forms; einsum
+    # reads the NHWC-strided view in place, where vdot would copy it
+    if not math.isfinite(np.einsum("bchw,bchw->", feats, feats)):
+        raise TrainingDiverged("stage-1 backbone features overflow")
     ir_main, basis = decompose_main_batch(feats, dcfg)
     z, main_cache = model.forward_main(params, buffers, ir_main, train=True)
     loss = cross_entropy(z, yb1h)
@@ -307,18 +313,12 @@ def _correct(z, y) -> int:
 
 
 def evaluate_main(model, params, buffers, xs, ys, dcfg, cfg) -> float:
-    """Accuracy of the main head alone on (xs, ys); no residual is formed.
-
-    Equal to ``evaluate(...)[0]``: ir_main is the same with or without the
-    residual split.
-    """
+    """Accuracy of the main head alone on (xs, ys); no residual is released."""
     correct = 0
     for start in range(0, len(xs), cfg.batch_size):
-        xb = xs[start : start + cfg.batch_size]
-        feats, _ = model.forward_backbone(params, buffers, xb, train=False)
-        ir_main, _ = decompose_main_batch(feats, dcfg)
-        z_main, _ = model.forward_main(params, buffers, ir_main, train=False)
-        correct += _correct(z_main, ys[start : start + cfg.batch_size])
+        stop = start + cfg.batch_size
+        z_main, _ = private_forward(model, params, buffers, xs[start:stop], dcfg)
+        correct += _correct(z_main, ys[start:stop])
     return correct / len(xs)
 
 
@@ -328,18 +328,15 @@ def evaluate(model, params, buffers, xs, ys, dcfg, cfg, sigma: float):
     eval_sigma = sigma if cfg.perturb_inference else 0.0
     correct_main = correct_merged = 0
     for start in range(0, len(xs), cfg.batch_size):
-        xb = xs[start : start + cfg.batch_size]
-        yb = ys[start : start + cfg.batch_size]
-        feats, _ = model.forward_backbone(params, buffers, xb, train=False)
-        ir_main, ir_res = decompose_batch(feats, dcfg)
-        z_main, _ = model.forward_main(params, buffers, ir_main, train=False)
+        stop = start + cfg.batch_size
+        z_main, ir_res = private_forward(model, params, buffers, xs[start:stop], dcfg)
         rows = []
-        for j in range(len(xb)):
-            noisy = perturb(ir_res[j], eval_sigma, cfg.seed, VAL_STREAM_BASE + start + j)
+        for j, res in enumerate(ir_res):
+            noisy = perturb(res, eval_sigma, cfg.seed, VAL_STREAM_BASE + start + j)
             rows.append(quantize(noisy) if cfg.quantize else noisy)
         z_res, _ = model.forward_res(params, buffers, np.stack(rows), train=False)
-        correct_main += _correct(z_main, yb)
-        correct_merged += _correct(z_main + alpha * z_res, yb)
+        correct_main += _correct(z_main, ys[start:stop])
+        correct_merged += _correct(z_main + alpha * z_res, ys[start:stop])
     return correct_main / len(xs), correct_merged / len(xs)
 
 

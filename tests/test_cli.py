@@ -350,11 +350,30 @@ class TestTrainCmd:
         assert (out / "transcript.csv").read_text() == "index,direction,kind,bytes,phase\n"
 
     def test_divergence_exit_code(self, tmp_path, capsys):
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["train", "--data.n", "48", "--train.ep1", "1", "--train.ep2", "1",
-                       "--train.batch_size", "16", "--train.lr", "10000",
-                       "--out", str(tmp_path / "runD")])
-        assert rc == 4
+        # inf and 1e300 once failed in the next decomposition's eigh (exit 2)
+        for lr in ("10000", "inf", "1e300"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                rc = main(["train", "--data.n", "48", "--train.ep1", "1", "--train.ep2", "1",
+                           "--train.batch_size", "16", "--train.lr", lr,
+                           "--out", str(tmp_path / "runD")])
+            assert rc == 4, lr
+
+    @pytest.mark.parametrize("classes", [2, 6])
+    def test_head_has_the_data_class_count(self, tmp_path, capsys, classes):
+        out = tmp_path / "runK"
+        assert main(["train", "--data.n", "96", "--data.classes", str(classes),
+                     "--train.ep1", "1", "--train.ep2", "1", "--train.batch_size", "16",
+                     "--out", str(out)]) == 0
+        _, _, meta = load_checkpoint(out / "ckpt" / "private.dltp")
+        assert meta["spec"]["num_classes"] == classes
+        data = synthetic_dataset(n=96, num_classes=classes, seed=0)
+        images = tmp_path / "val.npy"
+        np.save(images, data.val_x)
+        capsys.readouterr()
+        assert main(["infer", "--ckpt", str(out / "ckpt"), "--images", str(images)]) == 0
+        preds = np.array([int(line) for line in capsys.readouterr().out.split()])
+        payload = json.loads((out / "report.json").read_text())
+        assert float(np.mean(preds == data.val_y)) == payload["val_merged_accuracy"]
 
     def test_unquantized_exit_code(self, tmp_path):
         rc = main(["train", "--data.n", "48", "--train.quantize", "false",
@@ -455,6 +474,7 @@ class TestInferCmd:
         ("quantize", 1), ("perturb_inference", "yes"), ("sigma", "0.5"), ("sigma", -1.0),
         ("spec", {"in_channels": 3}), ("decompose", {"r": 4}),
         ("decompose", {"r": 4, "t": 8.0, "t_prime": 2}),
+        ("sigma", float("nan")), ("sigma", float("inf")), ("unknown", 1),
     ])
     def test_bad_metadata_field_is_data_error(self, tiny_run, tmp_path, capsys, field, value):
         assert self.infer_with_meta(tiny_run, tmp_path, lambda meta: {**meta, field: value}) == 2
@@ -463,6 +483,11 @@ class TestInferCmd:
     @pytest.mark.parametrize("key,value", [
         ("num_classes", "4"), ("alpha", "one"), ("normalize", 1), ("bb_k", 0),
         ("res_blocks", [{"n": 24, "k": 3, "stride": 0}, {"n": 48, "k": 3, "stride": 2}]),
+        ("bb_channels", True), ("depth", 3), ("alpha", float("inf")),
+        ("main_blocks", [{"n": 12, "k": 3, "stride": 2, "q": True},
+                         {"n": 24, "k": 3, "stride": 2, "q": 16}]),
+        ("res_blocks", [{"n": 24, "k": 3, "stride": 2}, {"n": 48, "k": 3, "stride": 2}]),
+        ("res_blocks", {"n": 24}), ("num_classes", 1),
     ])
     def test_bad_spec_value_is_data_error(self, tiny_run, tmp_path, capsys, key, value):
         def edit(meta):
@@ -471,6 +496,14 @@ class TestInferCmd:
 
         assert self.infer_with_meta(tiny_run, tmp_path, edit) == 2
         assert "'spec'" in capsys.readouterr().err
+
+    def test_spec_refusal_names_the_nested_field(self, tiny_run, tmp_path, capsys):
+        def edit(meta):
+            meta["spec"]["res_blocks"][1]["stride"] = False
+            return meta
+
+        assert self.infer_with_meta(tiny_run, tmp_path, edit) == 2
+        assert "field 'spec'['res_blocks'][1]['stride'] is a bool" in capsys.readouterr().err
 
     def test_metadata_not_an_object_is_data_error(self, tiny_run, tmp_path, capsys):
         assert self.infer_with_meta(tiny_run, tmp_path, lambda meta: [meta]) == 2

@@ -1,4 +1,3 @@
-import json
 import math
 
 import mpmath as mp
@@ -11,7 +10,6 @@ from asymsplit.privacy import (
     amplify,
     build_cache,
     calibrate,
-    format_accountant,
     noise_stream,
     perturb,
     quantize,
@@ -127,20 +125,6 @@ class TestCalibrate:
     def test_params_validate(self):
         with pytest.raises(ValueError, match="sigma"):
             PrivacyParams(1, 1e-6, 1, 1, 1, 1e-6, 0.0)
-
-
-class TestAccountantFormat:
-    def test_json_with_12_digits(self):
-        params = calibrate(1.4, 1e-6, 0.1, 2.0)
-        text = format_accountant(params)
-        data = json.loads(text)
-        assert set(data) == {
-            "epsilon", "delta", "p", "C", "eps_prime", "delta_prime", "sigma"
-        }
-        assert data["epsilon"] == 1.4
-        assert data["C"] == 2.0
-        assert abs(data["sigma"] - params.sigma) / params.sigma <= 1e-11
-        assert f"{params.sigma:.12g}" in text
 
 
 class TestPerturb:

@@ -13,7 +13,7 @@ from reference_driver import train_in_process
 from asymsplit import protocol
 from asymsplit.datasets import synthetic_dataset
 from asymsplit.decompose import DecompositionConfig, decompose_main_batch
-from asymsplit.model import Model, default_spec, forward_full
+from asymsplit.model import Model, default_spec, forward_full, softmax
 from asymsplit.protocol import (
     Frame,
     FrameKind,
@@ -220,6 +220,13 @@ class TestChannels:
         wire.send("private", Frame(FrameKind.RESIDUAL_BITS, 0, bits))
         with pytest.raises(ProtocolViolation, match="expected 'logits'"):
             wire.recv("public", expect=FrameKind.LOGITS)
+
+    def test_wire_rejects_misshaped_frame(self):
+        wire = Wire()
+        wire.phase = "stage2"
+        wire.send("public", frame_from_rows(FrameKind.LOGITS, 0, np.zeros((1, 4))))
+        with pytest.raises(ProtocolViolation, match=r"shape \(1, 4, 1\), expected \(16, 4, 1\)"):
+            wire.recv("private", FrameKind.LOGITS, (16, 4, 1))
 
 
 # forged headers: mostly the right magic and version, kinds around the
@@ -489,6 +496,74 @@ class TestSplitTraining:
         report, wire, _, _ = run_split_training(model, params, buffers, data, DCFG, cfg)
         assert wire.transcript.entries == []
         assert set(report.bytes_by_phase.values()) == {0}
+
+
+class RecordingChannel(MemoryChannel):
+    """A memory channel that keeps every frame, so a test can play either side."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = []  # (sender, frame)
+
+    def send(self, sender, raw):
+        self.sent.append((sender, decode_frame(raw)))
+        super().send(sender, raw)
+
+
+class TamperingChannel(MemoryChannel):
+    """A public side that cuts every logits frame it sends with ``cut``."""
+
+    def __init__(self, cut):
+        super().__init__()
+        self.cut = cut
+
+    def send(self, sender, raw):
+        frame = decode_frame(raw)
+        if frame.kind == FrameKind.LOGITS:
+            raw = encode_frame(Frame(frame.kind, frame.frame_id, self.cut(frame.data)))
+        super().send(sender, raw)
+
+
+class TestMisshapedFrames:
+    def test_one_logit_per_request_is_a_violation(self):
+        # a (1, 1, 1) logits frame would broadcast into the merge unseen
+        data, model, params, buffers, cfg = tiny_setup(n=32, ep2=0)
+        wire = Wire(TamperingChannel(lambda d: d[:, :1]))
+        (pp, pb), (qp, qb) = split_params(params, buffers)
+        private = PrivateEndpoint(model, pp, pb, DCFG, cfg, wire)
+        public = PublicEndpoint(model, qp, qb, cfg, wire)
+        with pytest.raises(ProtocolViolation, match=r"shape \(1, 1, 1\), expected \(1, 4, 1\)"):
+            run_split_inference(private, public, data.val_x[:2])
+
+    def test_one_logits_row_per_stage2_batch_is_a_violation(self):
+        # one row would broadcast over the batch and training would finish
+        data, model, params, buffers, cfg = tiny_setup(n=32, ep2=1)
+        with pytest.raises(ProtocolViolation, match=r"expected \(16, 4, 1\) in phase 'stage2'"):
+            run_split_training(model, params, buffers, data, DCFG, cfg,
+                               channel=TamperingChannel(lambda d: d[:1]))
+
+
+def test_public_side_recovers_every_stage2_label():
+    # g_res = softmax(z_res) - y, and the public side formed z_res itself:
+    # from its own frames and the shared schedule it reads every label
+    data, model, params, buffers, cfg = tiny_setup(n=120, ep2=1, epsilon=0.5)
+    channel = RecordingChannel()
+    run_split_training(model, params, buffers, data, DCFG, cfg, channel=channel)
+    logits = [f.data[..., 0] for who, f in channel.sent
+              if who == "public" and f.kind == FrameKind.LOGITS]
+    grads = [f.data[..., 0] for who, f in channel.sent
+             if who == "private" and f.kind == FrameKind.GRADIENT]
+    n = len(data.train_x)
+    schedule = batch_schedule(n, cfg.batch_size, cfg.seed, 2, 0)
+    assert len(logits) == len(grads) == len(schedule)
+    recovered = np.full(n, -1)
+    for idx, z_res, g_res in zip(schedule, logits, grads):
+        y = softmax(z_res) - g_res
+        np.testing.assert_allclose(y, np.eye(model.spec.num_classes)[np.argmax(y, axis=1)],
+                                   atol=1e-12)
+        recovered[idx] = np.argmax(y, axis=1)
+    assert n == 96
+    np.testing.assert_array_equal(recovered, data.train_y)
 
 
 @pytest.fixture(scope="module")

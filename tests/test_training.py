@@ -23,6 +23,7 @@ from asymsplit.training import (
     private_backprop,
     resolve_sigma,
     sgd_step,
+    stage1_batch,
 )
 
 DCFG = DecompositionConfig(r=4, t=8, t_prime=2, C=1.0)
@@ -137,6 +138,26 @@ class TestOptimizer:
         cfg = TrainConfig()
         with pytest.raises(TrainingDiverged, match="w"):
             sgd_step({"w": np.array([1.0])}, {"w": np.array([math.nan])}, cfg, SgdState(), 0.1)
+
+    @pytest.mark.parametrize("lr", [math.inf, 1e300])
+    def test_update_that_overflows_the_weight_raises(self, lr):
+        # a finite gradient; 1e300 leaves a finite weight whose square overflows
+        cfg = TrainConfig()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDiverged, match="w with a non-finite squared norm"):
+            sgd_step({"w": np.array([1.0, 2.0])}, {"w": np.array([0.5, 0.5])}, cfg, SgdState(), lr)
+
+    def test_overflowing_backbone_features_raise(self):
+        # weights below the squared-norm limit whose features' Gram overflows
+        model = Model(default_spec(r=4))
+        params, buffers = model.init(seed=0)
+        params["bb/conv/w"] = np.full_like(params["bb/conv/w"], 1e152)
+        x = np.ones((2, 3, 16, 16))
+        assert math.isfinite(np.vdot(params["bb/conv/w"], params["bb/conv/w"]))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDiverged, match="features overflow"):
+            stage1_batch(model, params, buffers, x, one_hot([0, 1], 4), DCFG,
+                         TrainConfig(), SgdState(), 0.1)
 
     def test_cosine_schedule(self):
         assert cosine_lr(0.1, 0, 10) == pytest.approx(0.1)
