@@ -31,6 +31,9 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 _MAX_CLASSES = 8
+# seeds the one fixed shuffle ahead of the IDX validation split, so a
+# class-sorted file still validates on every class
+_IDX_SPLIT_SEED = 0
 
 
 @dataclass
@@ -87,17 +90,23 @@ def load_idx_labels(path) -> np.ndarray:
 
 
 def load_idx_dataset(images_path, labels_path, val_fraction: float = 0.2) -> Dataset:
-    """Pair up IDX images and labels, splitting the tail off for validation."""
+    """Pair up IDX images and labels, then split off a validation share.
+
+    The split follows one fixed permutation of the file's order, the same
+    on every load, so a file sorted by class validates on all of them.
+    """
     xs = load_idx_images(images_path)
     ys = load_idx_labels(labels_path)
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} images but {len(ys)} labels")
     n_val = int(round(len(xs) * val_fraction))
     n_train = len(xs) - n_val
+    order = np.random.default_rng(_IDX_SPLIT_SEED).permutation(len(xs))
+    train, val = order[:n_train], order[n_train:]
     num_classes = int(ys.max()) + 1
     return Dataset(
-        train_x=xs[:n_train], train_y=ys[:n_train],
-        val_x=xs[n_train:], val_y=ys[n_train:],
+        train_x=xs[train], train_y=ys[train],
+        val_x=xs[val], val_y=ys[val],
         num_classes=num_classes,
     )
 

@@ -203,8 +203,9 @@ class ChannelNorm(Layer):
 
     def forward(self, params, buffers, x, train):
         """Normalize, scale and shift x with the affine folded into one
-        per-channel multiply-add.  The cache holds x centred in train mode
-        (mean None) and x itself with its mean in eval mode."""
+        per-channel multiply-add in x's dtype.  The cache holds x centred in
+        train mode (mean None) and x itself with its mean in eval mode.  The
+        running statistics stay float64 whatever x's dtype."""
         if train:
             # einsum reduces the NHWC-strided views convs return faster
             # than ndarray.sum over axes (0, 2, 3)
@@ -224,18 +225,19 @@ class ChannelNorm(Layer):
             a = params[self.kw] * inv
             shift = params[self.kb] - mean * a
             cache = (x, mean, inv)
-        y = x * a[:, None, None]
-        y += shift[:, None, None]
+        y = x * a.astype(x.dtype, copy=False)[:, None, None]
+        y += shift.astype(x.dtype, copy=False)[:, None, None]
         return y, cache
 
     def backward(self, params, cache, gy, grads):
         x, mean, inv = cache
-        d = x if mean is None else x - mean[:, None, None]
+        gy = gy.astype(x.dtype, copy=False)
+        d = x if mean is None else x - mean.astype(x.dtype, copy=False)[:, None, None]
         sum_gy = np.einsum("bchw->c", gy)
         sum_gyd = np.einsum("bchw,bchw->c", gy, d)
         grads[self.kw] = grads.get(self.kw, 0) + inv * sum_gyd
         grads[self.kb] = grads.get(self.kb, 0) + sum_gy
-        a = params[self.kw] * inv
+        a = (params[self.kw] * inv).astype(x.dtype, copy=False)
         gx = gy * a[:, None, None]
         if mean is not None:
             return gx
@@ -520,7 +522,10 @@ class Model:
         return self.main.backward(params, cache, gz, grads)
 
     def forward_res(self, params, buffers, bits, train):
-        return self.res.forward(params, buffers, np.asarray(bits, dtype=np.float64), train)
+        # the public branch computes in float32, which holds its 0/1 bits
+        # exactly; the weights stay float64 masters, cast down per call, and
+        # sgd_step adds their float32 gradients to float64 weights
+        return self.res.forward(params, buffers, np.asarray(bits, dtype=np.float32), train)
 
     def backward_res(self, params, cache, gz, grads):
         return self.res.backward(params, cache, gz, grads)

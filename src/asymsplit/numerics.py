@@ -1,9 +1,12 @@
 """Dense tensor core: input checks, thin SVD, orthonormal block DCT, and 2-D
 convolution by matrix lowering.
 
-All arrays are 64-bit floats. A feature tensor is an ndarray of shape
-(channels, height, width); batches stack a leading axis.  Convolutions take
-and return that NCHW layout, but lower channels-last internally: im2col
+Arrays are 64-bit floats, except that convolutions follow their input's
+dtype: a float32 input is lowered, multiplied and returned in float32, its
+kernel and grad_out cast down to match, and any other input is computed in
+float64.  A feature tensor is an ndarray of shape (channels, height,
+width); batches stack a leading axis.  Convolutions take and return that
+NCHW layout, but lower channels-last internally: im2col
 gathers columns in (k, k, c) order from an NHWC copy of the input, and the
 kernel is flattened in the same order, so each copied run is a contiguous
 channel vector.  Kernels and their gradients keep the (n, c, k, k) layout.
@@ -166,6 +169,12 @@ def conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
+def _float_dtype(x):
+    """The dtype a convolution computes in: float32 for a float32 array,
+    float64 for anything else."""
+    return np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
+
+
 def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     """Lower a (b, c, h, w) batch to columns of shape (b * H * W, k * k * c).
 
@@ -176,7 +185,7 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     b, c, h, w = x.shape
     out_h = conv_out_size(h, k, stride, pad)
     out_w = conv_out_size(w, k, stride, pad)
-    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c))
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=_float_dtype(x))
     xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
     # output (y, x) reads the k x k window at padded row y * stride, column x * stride
     sb, sh, sw, sc = xp.strides
@@ -194,7 +203,7 @@ def col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndarr
     out_h = conv_out_size(h, k, stride, pad)
     out_w = conv_out_size(w, k, stride, pad)
     patches = cols.reshape(b, out_h, out_w, k, k, c)
-    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c))
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=_float_dtype(cols))
     for i in range(k):
         for j in range(k):
             xp[:, i : i + out_h * stride : stride, j : j + out_w * stride : stride] += patches[
@@ -219,8 +228,8 @@ def _check_conv_shapes(x: np.ndarray, weights: np.ndarray) -> None:
 
 def conv2d_forward_batch(x, weights, stride: int = 1, padding=0) -> np.ndarray:
     """Convolve a (b, c, h, w) batch with an (n, c, k, k) kernel via im2col."""
-    x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
+    x = np.asarray(x, dtype=_float_dtype(x))
+    weights = np.asarray(weights, dtype=x.dtype)
     _check_conv_shapes(x, weights)
     n, c, k, _ = weights.shape
     pad = _resolve_padding(padding, k)
@@ -240,9 +249,9 @@ def conv2d_backward_batch(grad_out, x, weights, stride: int = 1, padding=0,
     With ``input_grad=False`` grad_x is None and is never formed, for a conv
     whose input is a leaf of the graph.
     """
-    x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    x = np.asarray(x, dtype=_float_dtype(x))
+    weights = np.asarray(weights, dtype=x.dtype)
+    grad_out = np.asarray(grad_out, dtype=x.dtype)
     _check_conv_shapes(x, weights)
     n, c, k, _ = weights.shape
     pad = _resolve_padding(padding, k)

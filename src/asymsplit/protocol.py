@@ -50,6 +50,8 @@ FRAME_MAGIC = b"DLTR"
 FRAME_VERSION = 1
 _HEADER = struct.Struct("<4sBBIIII")
 _RECV_CHUNK = 1 << 16  # largest single socket read
+# seconds a socket read may wait on a silent peer before the frame is refused
+SOCKET_TIMEOUT_S = 60.0
 
 PHASES = ("stage1", "cache-build", "stage2", "inference")
 
@@ -188,16 +190,23 @@ class SocketChannel:
 
     Lockstep scheduling keeps at most one small frame in flight per
     direction, so a single-threaded driver never deadlocks on buffers.
+    Both ends time out after ``SOCKET_TIMEOUT_S``, so a peer that goes
+    silent while a frame is awaited is a protocol violation, not a hang.
     """
 
     def __init__(self):
         self._private_sock, self._public_sock = socket.socketpair()
+        for sock in (self._private_sock, self._public_sock):
+            sock.settimeout(SOCKET_TIMEOUT_S)
 
     def _sock(self, role: str) -> socket.socket:
         return self._private_sock if role == "private" else self._public_sock
 
     def send(self, sender: str, raw: bytes) -> None:
-        self._sock(sender).sendall(raw)
+        try:
+            self._sock(sender).sendall(raw)
+        except TimeoutError:
+            raise ProtocolViolation(f"peer stopped reading for {SOCKET_TIMEOUT_S}s") from None
 
     def recv(self, receiver: str) -> bytes:
         sock = self._sock(receiver)
@@ -212,7 +221,13 @@ class SocketChannel:
         chunks = []
         got = 0
         while got < count:
-            chunk = sock.recv(min(count - got, _RECV_CHUNK))
+            try:
+                chunk = sock.recv(min(count - got, _RECV_CHUNK))
+            except TimeoutError:
+                raise ProtocolViolation(
+                    f"peer silent for {SOCKET_TIMEOUT_S}s with {count - got} bytes "
+                    "of the frame unread"
+                ) from None
             if not chunk:
                 raise ProtocolViolation("channel closed mid-frame")
             chunks.append(chunk)
@@ -235,16 +250,19 @@ class TranscriptEntry:
     kind: str
     nbytes: int
     phase: str
+    values: int  # c * h * w of the frame's tensor; not written to the CSV
 
 
 @dataclass
 class Transcript:
     entries: list = field(default_factory=list)
 
-    def record(self, direction: str, kind: str, nbytes: int, phase: str) -> None:
+    def record(self, direction: str, kind: str, nbytes: int, phase: str, values: int) -> None:
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}")
-        self.entries.append(TranscriptEntry(len(self.entries), direction, kind, nbytes, phase))
+        self.entries.append(
+            TranscriptEntry(len(self.entries), direction, kind, nbytes, phase, values)
+        )
 
     def bytes_by_phase(self) -> dict:
         totals = {phase: 0 for phase in PHASES}
@@ -271,10 +289,11 @@ def audit(transcript: Transcript) -> AuditReport:
     """Check every recorded frame against its phase whitelist.
 
     The ratio field reports payload compression of the residual frames
-    against a 32-bit-float transmission of the same tensors.
+    against a 32-bit-float transmission of the same tensors: 4 bytes per
+    recorded value over the payload bytes recorded, 0.0 without any.
     """
     violations = []
-    residual_payload = 0
+    residual_payload = residual_values = 0
     for entry in transcript.entries:
         allowed = PHASE_WHITELIST.get(entry.phase)
         if allowed is None:
@@ -287,7 +306,8 @@ def audit(transcript: Transcript) -> AuditReport:
             )
         if entry.kind == "residual-bits":
             residual_payload += entry.nbytes - _HEADER.size
-    ratio = 32.0 if residual_payload else 0.0
+            residual_values += entry.values
+    ratio = 4 * residual_values / residual_payload if residual_payload else 0.0
     return AuditReport(
         passed=not violations,
         violations=tuple(violations),
@@ -307,7 +327,9 @@ class Wire:
     def send(self, sender: str, frame: Frame) -> None:
         raw = encode_frame(frame)
         direction = "private->public" if sender == "private" else "public->private"
-        self.transcript.record(direction, frame.kind.wire_name, len(raw), self.phase)
+        self.transcript.record(
+            direction, frame.kind.wire_name, len(raw), self.phase, frame.data.size
+        )
         self.channel.send(sender, raw)
 
     def recv(self, receiver: str, expect: FrameKind, shape=None) -> Frame:
@@ -368,9 +390,7 @@ class PublicEndpoint:
         self.store = {}
 
     def res_logits(self, bits: np.ndarray) -> np.ndarray:
-        z, _ = self.model.forward_res(
-            self.params, self.buffers, bits[None].astype(np.float64), train=False
-        )
+        z, _ = self.model.forward_res(self.params, self.buffers, bits[None], train=False)
         return z
 
 

@@ -289,9 +289,7 @@ class Stage2Public:
         self.lr = cosine_lr(self.cfg.lr, epoch, self.cfg.ep2)
 
     def logits(self, sample_ids) -> np.ndarray:
-        inputs = np.stack(
-            [np.asarray(self.store[int(i)], dtype=np.float64) for i in sample_ids]
-        )
+        inputs = np.stack([self.store[int(i)] for i in sample_ids])
         z_res, cache = self.model.forward_res(self.params, self.buffers, inputs, train=True)
         self._cache, self._batch = cache, len(sample_ids)
         return z_res

@@ -295,8 +295,8 @@ def test_communication_budget(verdict):
 
     injected = Transcript()
     for e in wire.transcript.entries:
-        injected.record(e.direction, e.kind, e.nbytes, e.phase)
-    injected.record("private->public", "gradient", 22 + floats * 8, "cache-build")
+        injected.record(e.direction, e.kind, e.nbytes, e.phase, e.values)
+    injected.record("private->public", "gradient", 22 + floats * 8, "cache-build", floats)
     bad = audit(injected)
 
     elapsed = time.perf_counter() - t0
@@ -387,12 +387,19 @@ def test_benchmark_accuracy_ordering(bench, verdict):
         and inf_med - main_med >= 0.01
         and elapsed < 900.0
     )
+    per_seed = "; ".join(
+        f"seed {s}: {runs[(INF, s)]['main']:.4f}/{runs[(INF, s)]['merged']:.4f}/"
+        f"{runs[(0.5, s)]['merged']:.4f} lift "
+        f"{100 * (runs[(INF, s)]['merged'] - runs[(INF, s)]['main']):.2f}pp"
+        for s in BENCH_SEEDS
+    )
     verdict(
         "accuracy ordering",
         ok,
         f"median main-only {main_med:.4f} <= merged@inf {inf_med:.4f} "
         f">= merged@0.5 {dp_med:.4f}, residual lift "
-        f"{100 * (inf_med - main_med):.2f}pp (>= 1pp), {elapsed:.0f}s (< 900s)",
+        f"{100 * (inf_med - main_med):.2f}pp (>= 1pp), {elapsed:.0f}s (< 900s); "
+        f"per seed main/merged@inf/merged@0.5: {per_seed}",
     )
 
 

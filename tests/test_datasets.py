@@ -81,6 +81,24 @@ class TestIdxFiles:
         assert len(data.train_x) == 8 and len(data.val_x) == 2
         assert data.num_classes == 2
 
+    def test_split_of_a_class_sorted_file_covers_every_class(self, tmp_path):
+        # labels 0..3 in sorted runs of 10; image i holds pixel value i, so
+        # the loaded images show which sample landed where
+        imgs = tmp_path / "i.idx"
+        labels = tmp_path / "l.idx"
+        n = 40
+        imgs.write_bytes(idx_image_bytes(np.arange(n).repeat(4).reshape(n, 2, 2)))
+        labels.write_bytes(idx_label_bytes(np.arange(n) // 10))
+        data = load_idx_dataset(imgs, labels, val_fraction=0.2)
+        assert set(data.train_y) == set(data.val_y) == {0, 1, 2, 3}
+        ids = np.concatenate([data.train_x, data.val_x])[:, 0, 0, 0] * 255
+        assert sorted(ids.round().astype(int)) == list(range(n))
+        labels_of = np.concatenate([data.train_y, data.val_y])
+        np.testing.assert_array_equal(labels_of, ids.round().astype(int) // 10)
+        again = load_idx_dataset(imgs, labels, val_fraction=0.2)
+        for name in ("train_x", "train_y", "val_x", "val_y"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(data, name))
+
 
 class TestDatasetGuards:
     def test_label_range_checked(self):

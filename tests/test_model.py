@@ -332,6 +332,62 @@ class TestLayerGradients:
             assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12) <= 1e-5, key
 
 
+class TestResidualBranch:
+    """The public branch: float64 layer code checked by finite differences,
+    and the float32 pass that forward_res runs checked against it."""
+
+    SPEC = ModelSpec(
+        in_channels=2, bb_channels=3,
+        main_blocks=(BlockSpec(4, 3, 2, q=2),),
+        res_blocks=(BlockSpec(4, 3, 2), BlockSpec(6, 3, 2)),
+        num_classes=3,
+    )
+
+    def branch_inputs(self, seed):
+        model = Model(self.SPEC)
+        params, buffers = model.init(seed)
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=(3, 3, 8, 8)).astype(np.uint8)
+        proj = rng.normal(size=(3, self.SPEC.num_classes))
+        return model, params, buffers, bits, proj
+
+    def test_float64_branch_matches_finite_differences(self):
+        model, params, buffers, bits, proj = self.branch_inputs(21)
+        x = bits.astype(np.float64)
+
+        def loss():
+            z, _ = model.res.forward(params, dict(buffers), x, True)
+            return float(np.sum(proj * z))
+
+        z, cache = model.res.forward(params, dict(buffers), x, True)
+        assert z.dtype == np.float64
+        grads = {}
+        assert model.res.backward(params, cache, proj, grads) is None
+        assert set(grads) == {k for k in params if k.startswith("res/")}
+        for key, g in grads.items():
+            assert g.dtype == np.float64, key
+            fd = central_diff(loss, params[key])
+            assert rel_gap(g, fd) <= 1e-5, key
+
+    def test_float32_pass_tracks_float64(self):
+        model, params, buffers, bits, proj = self.branch_inputs(22)
+        buf32, buf64 = dict(buffers), dict(buffers)
+        z32, cache32 = model.forward_res(params, buf32, bits, True)
+        z64, cache64 = model.res.forward(params, buf64, bits.astype(np.float64), True)
+        assert rel_gap(z32, z64) <= 1e-5
+        g32, g64 = {}, {}
+        model.backward_res(params, cache32, proj, g32)
+        model.res.backward(params, cache64, proj, g64)
+        assert g32.keys() == g64.keys()
+        for key in g64:
+            assert g32[key].dtype == (np.float64 if key.startswith("res/fc/") else np.float32)
+            assert rel_gap(g32[key], g64[key]) <= 1e-4, key
+        # running statistics keep their float64 buffers
+        for key in buf32:
+            assert buf32[key].dtype == np.float64
+            assert rel_gap(buf32[key], buf64[key]) <= 1e-5, key
+
+
 class TestLeafInputGradients:
     def test_leaf_skip_keeps_every_weight_gradient(self):
         # the backbone conv and res/b0 (conv1, proj) skip their input

@@ -381,6 +381,42 @@ class TestConv2dBackward:
             conv2d_backward(np.zeros((1, 9, 9)), x, w)
 
 
+class TestConvDtype:
+    """Convolutions compute in float32 for float32 input, else in float64."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_float32_input_stays_float32(self, k, stride, pad):
+        rng = np.random.default_rng(50 + 4 * k + 2 * stride + pad)
+        xs = rng.normal(size=(3, 4, 7, 6))
+        w = rng.normal(size=(5, 4, k, k))
+        out64 = conv2d_forward_batch(xs, w, stride, pad)
+        proj = rng.normal(size=out64.shape)
+        gx64, gw64 = conv2d_backward_batch(proj, xs, w, stride, pad)
+
+        x32 = xs.astype(np.float32)
+        out32 = conv2d_forward_batch(x32, w, stride, pad)
+        gx32, gw32 = conv2d_backward_batch(proj, x32, w, stride, pad)
+        for got, want in ((out32, out64), (gx32, gx64), (gw32, gw64)):
+            assert got.dtype == np.float32
+            assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-5
+
+    def test_other_dtypes_compute_in_float64(self):
+        # integer and half-precision input give exactly the float64 results
+        rng = np.random.default_rng(51)
+        xs = rng.integers(-3, 4, size=(2, 3, 6, 6))
+        w = rng.normal(size=(4, 3, 3, 3))
+        proj = rng.normal(size=(2, 4, 3, 3))
+        want_out = conv2d_forward_batch(xs.astype(np.float64), w, 2, 1)
+        want_gx, want_gw = conv2d_backward_batch(proj, xs.astype(np.float64), w, 2, 1)
+        for x in (xs, xs.astype(np.float16)):
+            out = conv2d_forward_batch(x, w, 2, 1)
+            gx, gw = conv2d_backward_batch(proj, x, w, 2, 1)
+            for got, want in ((out, want_out), (gx, want_gx), (gw, want_gw)):
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 class TestLowering:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("stride", [1, 2])

@@ -1,6 +1,7 @@
 """Wire format, transcript audit, and split-driver equivalence."""
 
 import dataclasses
+import hashlib
 import socket
 import struct
 
@@ -13,7 +14,14 @@ from reference_driver import train_in_process
 from asymsplit import protocol
 from asymsplit.datasets import synthetic_dataset
 from asymsplit.decompose import DecompositionConfig, decompose_main_batch
-from asymsplit.model import Model, default_spec, forward_full, softmax
+from asymsplit.model import (
+    Model,
+    default_spec,
+    forward_full,
+    load_checkpoint,
+    save_checkpoint,
+    softmax,
+)
 from asymsplit.protocol import (
     Frame,
     FrameKind,
@@ -213,6 +221,30 @@ class TestChannels:
         with pytest.raises(ProtocolViolation, match="channel closed mid-frame"):
             socket_recv_forged(header + bytes(100))
 
+    def test_silent_peer_times_out_as_a_violation(self, monkeypatch):
+        # a live peer sends a header claiming a large payload, then nothing:
+        # the read gives up after SOCKET_TIMEOUT_S instead of blocking
+        monkeypatch.setattr(protocol, "SOCKET_TIMEOUT_S", 0.2)
+        header = struct.pack("<4sBBIIII", b"DLTR", 1, int(FrameKind.GRADIENT), 0,
+                             1000, 1000, 1)
+        ch = SocketChannel()
+        try:
+            ch.send("private", header + bytes(100))
+            with pytest.raises(ProtocolViolation, match="peer silent"):
+                ch.recv("public")
+        finally:
+            ch.close()
+
+    def test_peer_that_stops_reading_times_out(self, monkeypatch):
+        # the socket buffers fill and the peer never drains them
+        monkeypatch.setattr(protocol, "SOCKET_TIMEOUT_S", 0.2)
+        ch = SocketChannel()
+        try:
+            with pytest.raises(ProtocolViolation, match="stopped reading"):
+                ch.send("private", bytes(1 << 24))
+        finally:
+            ch.close()
+
     def test_wire_rejects_unexpected_kind(self):
         wire = Wire()
         wire.phase = "inference"
@@ -278,22 +310,30 @@ class TestTranscriptAudit:
 
     def test_legal_run_passes_with_ratio_32(self):
         t = Transcript()
-        t.record("private->public", "residual-bits", 278, "cache-build")
-        t.record("public->private", "logits", 534, "stage2")
-        t.record("private->public", "gradient", 534, "stage2")
-        t.record("private->public", "residual-bits", 278, "inference")
-        t.record("public->private", "logits", 54, "inference")
+        t.record("private->public", "residual-bits", 278, "cache-build", 2048)
+        t.record("public->private", "logits", 534, "stage2", 64)
+        t.record("private->public", "gradient", 534, "stage2", 64)
+        t.record("private->public", "residual-bits", 278, "inference", 2048)
+        t.record("public->private", "logits", 54, "inference", 4)
         report = audit(t)
         assert report.passed
         assert report.ratio == 32.0
         assert report.bytes_by_phase["stage1"] == 0
         assert report.bytes_by_phase["stage2"] == 1068
 
+    def test_ratio_counts_real_values_and_bytes(self):
+        # a (1, 3, 3) frame: 9 values as float32 are 36 bytes, as bits 2
+        wire = Wire()
+        wire.phase = "inference"
+        wire.send("private", Frame(FrameKind.RESIDUAL_BITS, 0, np.ones((1, 3, 3), np.uint8)))
+        assert wire.transcript.entries[0].values == 9
+        assert audit(wire.transcript).ratio == 36 / 2 == 18.0
+
     def test_injected_float_frame_fails_at_its_index(self):
         t = Transcript()
-        t.record("private->public", "residual-bits", 278, "cache-build")
-        t.record("private->public", "gradient", 2070, "cache-build")
-        t.record("private->public", "residual-bits", 278, "cache-build")
+        t.record("private->public", "residual-bits", 278, "cache-build", 2048)
+        t.record("private->public", "gradient", 2070, "cache-build", 256)
+        t.record("private->public", "residual-bits", 278, "cache-build", 2048)
         report = audit(t)
         assert not report.passed
         assert len(report.violations) == 1
@@ -303,28 +343,28 @@ class TestTranscriptAudit:
 
     def test_stage1_allows_nothing(self):
         t = Transcript()
-        t.record("private->public", "residual-bits", 278, "stage1")
+        t.record("private->public", "residual-bits", 278, "stage1", 2048)
         assert not audit(t).passed
 
     def test_residual_bits_refused_in_stage2(self):
         t = Transcript()
-        t.record("private->public", "residual-bits", 278, "stage2")
+        t.record("private->public", "residual-bits", 278, "stage2", 2048)
         assert not audit(t).passed
 
     def test_control_frames_allowed_nowhere(self):
         for phase in ("stage1", "cache-build", "stage2", "inference"):
             t = Transcript()
-            t.record("private->public", "control", 22, phase)
+            t.record("private->public", "control", 22, phase, 0)
             assert not audit(t).passed
 
     def test_unknown_phase_rejected_at_record(self):
         with pytest.raises(ValueError, match="unknown phase"):
-            Transcript().record("private->public", "logits", 10, "stage3")
+            Transcript().record("private->public", "logits", 10, "stage3", 0)
 
     def test_csv_layout(self):
         t = Transcript()
-        t.record("private->public", "residual-bits", 278, "cache-build")
-        t.record("public->private", "logits", 534, "stage2")
+        t.record("private->public", "residual-bits", 278, "cache-build", 2048)
+        t.record("public->private", "logits", 534, "stage2", 64)
         assert t.to_csv() == (
             "index,direction,kind,bytes,phase\n"
             "0,private->public,residual-bits,278,cache-build\n"
@@ -425,6 +465,47 @@ class TestSplitTraining:
         run_split_training(model, params, buffers, data, DCFG, cfg)
         batches = -(-len(data.train_x) // cfg.batch_size)
         assert len(calls) == cfg.ep1 * batches + batches
+
+    def test_released_bits_digest_pinned(self):
+        # the private side computes in float64 throughout: the released
+        # bits of this run are fixed, whatever precision the public side uses
+        data, model, params, buffers, cfg = tiny_setup(n=200, ep1=2, ep2=1, epsilon=0.5)
+        _, _, _, public = run_split_training(model, params, buffers, data, DCFG, cfg)
+        digest = hashlib.sha256()
+        for sample_id in sorted(public.store):
+            digest.update(np.ascontiguousarray(public.store[sample_id]).tobytes())
+        assert len(public.store) == len(data.train_x)
+        assert digest.hexdigest() == (
+            "c57b71e0957cb3ebdf3850fceb66bf2467ee913ad7c207e862703035f6b38f3c"
+        )
+
+    def test_public_state_stays_float64(self, monkeypatch, tmp_path):
+        # the residual branch computes in float32, but its weights, momentum
+        # velocities and running statistics are float64 masters, saved as f8
+        states = []
+        real = protocol.Stage2Public.apply_gradient
+
+        def spy(self, g_res):
+            states.append(self.state)
+            return real(self, g_res)
+
+        monkeypatch.setattr(protocol.Stage2Public, "apply_gradient", spy)
+        data, model, params, buffers, cfg = tiny_setup(n=32, ep2=2)
+        _, _, private, public = run_split_training(model, params, buffers, data, DCFG, cfg)
+        assert states
+        velocities = states[-1].velocities
+        assert set(velocities) == set(public.params)
+        for arrays in (public.params, public.buffers, velocities,
+                       private.params, private.buffers):
+            for key, value in arrays.items():
+                assert value.dtype == np.float64, key
+        path = tmp_path / "public.dltp"
+        save_checkpoint(path, public.params, public.buffers, {})
+        loaded_params, loaded_buffers, _ = load_checkpoint(path)
+        for saved, loaded in ((public.params, loaded_params), (public.buffers, loaded_buffers)):
+            assert loaded.keys() == saved.keys()
+            for key in saved:
+                assert loaded[key].tobytes() == saved[key].tobytes(), key
 
     def test_socket_mode_matches_memory_mode(self):
         data, model, params, buffers, cfg = tiny_setup(n=32, ep2=1)
