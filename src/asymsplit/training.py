@@ -27,7 +27,7 @@ import numpy as np
 
 from .decompose import decompose_batch, decompose_main_adjoint, decompose_main_batch
 from .model import Model, orth_reg, private_forward, softmax
-from .privacy import calibrate, perturb, quantize
+from .privacy import add_noise, calibrate, quantize
 
 # validation-time noise streams live in their own key range so they can
 # never collide with (seed, train sample id) cache streams
@@ -170,12 +170,16 @@ def _orth_penalty(params, grads, coeff: float) -> float:
 # Stage 1
 # ---------------------------------------------------------------------------
 
-def stage1_batch(model: Model, params, buffers, xb, yb1h, dcfg, cfg, state, lr) -> float:
-    feats, bb_cache = model.forward_backbone(params, buffers, xb, train=True)
+def _check_features(feats, phase: str) -> None:
     # finite squares bound every Gram entry the decomposition forms; einsum
     # reads the NHWC-strided view in place, where vdot would copy it
     if not math.isfinite(np.einsum("bchw,bchw->", feats, feats)):
-        raise TrainingDiverged("stage-1 backbone features overflow")
+        raise TrainingDiverged(f"{phase} backbone features overflow")
+
+
+def stage1_batch(model: Model, params, buffers, xb, yb1h, dcfg, cfg, state, lr) -> float:
+    feats, bb_cache = model.forward_backbone(params, buffers, xb, train=True)
+    _check_features(feats, "stage-1")
     ir_main, basis = decompose_main_batch(feats, dcfg)
     z, main_cache = model.forward_main(params, buffers, ir_main, train=True)
     loss = cross_entropy(z, yb1h)
@@ -220,6 +224,7 @@ def compute_residuals(model: Model, params, buffers, xs, dcfg, batch_size: int,
     for start in range(0, len(xs), batch_size):
         xb = xs[start : start + batch_size]
         feats, _ = model.forward_backbone(params, buffers, xb, train=False)
+        _check_features(feats, "cache-build")
         ir_main, ir_res = decompose_batch(feats, dcfg)
         if main_rows is not None:
             main_rows.append(ir_main)
@@ -328,11 +333,11 @@ def evaluate(model, params, buffers, xs, ys, dcfg, cfg, sigma: float):
     for start in range(0, len(xs), cfg.batch_size):
         stop = start + cfg.batch_size
         z_main, ir_res = private_forward(model, params, buffers, xs[start:stop], dcfg)
-        rows = []
-        for j, res in enumerate(ir_res):
-            noisy = perturb(res, eval_sigma, cfg.seed, VAL_STREAM_BASE + start + j)
-            rows.append(quantize(noisy) if cfg.quantize else noisy)
-        z_res, _ = model.forward_res(params, buffers, np.stack(rows), train=False)
+        streams = range(VAL_STREAM_BASE + start, VAL_STREAM_BASE + start + len(ir_res))
+        rows = add_noise(np.empty(ir_res.shape), ir_res, eval_sigma, cfg.seed, streams)
+        if cfg.quantize:
+            rows = quantize(rows)
+        z_res, _ = model.forward_res(params, buffers, rows, train=False)
         correct_main += _correct(z_main, ys[start:stop])
         correct_merged += _correct(z_main + alpha * z_res, ys[start:stop])
     return correct_main / len(xs), correct_merged / len(xs)

@@ -3,8 +3,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from asymsplit import privacy
 from asymsplit.privacy import (
+    RELEASE_CHUNK,
     PrivacyParams,
     ResidualCache,
     amplify,
@@ -155,6 +159,11 @@ class TestPerturb:
         with pytest.raises(ValueError, match="sigma"):
             perturb(np.zeros((1, 2, 2)), -1.0, seed=0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            perturb(np.zeros((1, 2, 2)), sigma, seed=0)
+
     def test_stream_helper_rejects_bad_keys(self):
         with pytest.raises(ValueError):
             noise_stream(-1, 0)
@@ -239,3 +248,101 @@ class TestResidualCache:
         params = calibrate(2.0, 1e-6, b / n, 1.0)
         eps, delta = amplify(params.eps_prime, params.delta_prime, b / n)
         assert rel_err(eps, 2.0) <= 1e-12 and rel_err(delta, 1e-6) <= 1e-12
+
+
+# the benchmark's calibration: eps 0.5, delta 1e-6, batch 128 of 1600, C = 1
+BENCH_PARAMS = calibrate(0.5, 1e-6, 128 / 1600, 1.0)
+
+
+def unit_residuals(ids, shape=(2, 3, 4), seed=0):
+    rng = np.random.default_rng(seed)
+    out = {}
+    for sample_id in ids:
+        r = rng.normal(size=shape)
+        out[sample_id] = r * (rng.uniform(0.1, 1.0) / np.linalg.norm(r))
+    return out
+
+
+class TestBlockRelease:
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, RELEASE_CHUNK - 1, RELEASE_CHUNK, RELEASE_CHUNK + 1, 300]),
+        sigma=st.sampled_from([0.0, 0.7, BENCH_PARAMS.sigma]),
+        seed=st.sampled_from([0, 7, 2**64 - 1]),
+        data=st.data(),
+    )
+    def test_bits_equal_one_fresh_stream_per_sample(self, n, sigma, seed, data):
+        special = [0, 2**32 + 5, 2**64 - 1]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        drawn = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
+        ids = list(dict.fromkeys(special + [int(i) for i in drawn]))[:n]
+        order = data.draw(st.permutations(ids))
+        residuals = unit_residuals(order, seed=n)
+        if sigma == BENCH_PARAMS.sigma:
+            cache = build_cache(residuals, BENCH_PARAMS, seed)
+        else:
+            cache = build_cache(residuals, None, seed, sigma=sigma)
+        assert cache.ids() == sorted(ids)
+        for sample_id, r in residuals.items():
+            noisy = r + noise_stream(seed, sample_id).normal(0.0, sigma, r.shape)
+            want = (noisy >= 0).astype(np.uint8)
+            assert cache.bits(sample_id).tobytes() == want.tobytes(), sample_id
+
+    @pytest.mark.parametrize("n", [1, RELEASE_CHUNK + 1, 300])
+    def test_one_generator_per_release(self, monkeypatch, n):
+        calls = []
+        real = privacy.noise_stream
+
+        def spy(seed, stream):
+            calls.append(stream)
+            return real(seed, stream)
+
+        monkeypatch.setattr(privacy, "noise_stream", spy)
+        build_cache(unit_residuals(range(n)), None, seed=3, sigma=0.7)
+        assert len(calls) == 1
+
+    def test_empty_release_gives_empty_cache(self):
+        assert len(build_cache({}, BENCH_PARAMS, seed=0)) == 0
+        assert len(build_cache({}, None, seed=0, sigma=0.7)) == 0
+
+    @pytest.mark.parametrize("bad, params, match", [
+        (math.nan, None, "non-finite"),
+        (math.inf, None, "non-finite"),
+        (-math.inf, None, "non-finite"),
+        # nan > C is False: the norm check alone would let a NaN through
+        (math.nan, BENCH_PARAMS, "non-finite"),
+        (math.inf, BENCH_PARAMS, "sensitivity"),
+        (-math.inf, BENCH_PARAMS, "sensitivity"),
+    ])
+    def test_rejects_non_finite_residual(self, bad, params, match):
+        residuals = unit_residuals(range(RELEASE_CHUNK + 3))
+        residuals[RELEASE_CHUNK + 1][0, 1, 2] = bad
+        with pytest.raises(ValueError, match=match):
+            build_cache(residuals, params, seed=0, sigma=None if params else 0.7)
+
+    def test_noise_routine_rejects_non_finite_block(self):
+        block = np.zeros((2, 2, 3, 4))
+        block[1, 0, 0, 0] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            privacy.add_noise(np.empty_like(block), block, 0.0, 0, [0, 1])
+
+    @pytest.mark.parametrize("sigma", [-0.5, math.nan, math.inf])
+    def test_rejects_bad_explicit_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            build_cache(unit_residuals(range(4)), BENCH_PARAMS, seed=0, sigma=sigma)
+
+    @pytest.mark.parametrize("sample_id", [-1, 2**64])
+    def test_rejects_id_outside_uint64(self, sample_id):
+        residuals = unit_residuals([*range(RELEASE_CHUNK + 1), sample_id])
+        with pytest.raises(ValueError, match="uint64"):
+            build_cache(residuals, None, seed=0, sigma=0.7)
+
+    def test_rejects_mixed_shapes(self):
+        residuals = {**unit_residuals(range(RELEASE_CHUNK + 1)),
+                     **unit_residuals([500], shape=(2, 4, 3))}
+        with pytest.raises(ValueError, match="shape"):
+            build_cache(residuals, None, seed=0, sigma=0.7)
+
+    def test_rejects_residual_without_three_axes(self):
+        with pytest.raises(ValueError, match=r"\(c, h, w\)"):
+            build_cache({0: np.zeros((4, 4))}, None, seed=0, sigma=0.7)

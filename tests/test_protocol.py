@@ -41,7 +41,13 @@ from asymsplit.protocol import (
     run_split_training,
     split_params,
 )
-from asymsplit.training import VAL_STREAM_BASE, TrainConfig, batch_schedule, evaluate_main
+from asymsplit.training import (
+    VAL_STREAM_BASE,
+    TrainConfig,
+    TrainingDiverged,
+    batch_schedule,
+    evaluate_main,
+)
 
 DCFG = DecompositionConfig(r=4, t=8, t_prime=2, C=1.0)
 
@@ -381,6 +387,19 @@ def tiny_setup(seed=0, n=64, ep1=1, ep2=2, epsilon=float("inf"), **cfg_kwargs):
     return data, model, params, buffers, cfg
 
 
+def record_wires(monkeypatch):
+    """The list every Wire the split driver builds is appended to."""
+    wires = []
+
+    class RecordedWire(Wire):
+        def __init__(self, channel=None):
+            super().__init__(channel)
+            wires.append(self)
+
+    monkeypatch.setattr(protocol, "Wire", RecordedWire)
+    return wires
+
+
 class TestSplitTraining:
     @pytest.mark.parametrize("epsilon", [float("inf"), 0.5])
     def test_split_matches_in_process_bitwise(self, epsilon):
@@ -413,17 +432,23 @@ class TestSplitTraining:
             residuals[max(residuals)] = 2.0 * residuals[max(residuals)]
             return residuals
 
-        wires = []
-
-        class RecordedWire(Wire):
-            def __init__(self, channel=None):
-                super().__init__(channel)
-                wires.append(self)
-
         monkeypatch.setattr(protocol, "compute_residuals", one_too_large)
-        monkeypatch.setattr(protocol, "Wire", RecordedWire)
+        wires = record_wires(monkeypatch)
         data, model, params, buffers, cfg = tiny_setup(n=32, ep2=1, epsilon=0.5)
         with pytest.raises(ProtocolViolation, match="sensitivity"):
+            run_split_training(model, params, buffers, data, DCFG, cfg)
+        (wire,) = wires
+        assert wire.phase == "cache-build"
+        assert not [e for e in wire.transcript.entries if e.kind == "residual-bits"]
+
+    def test_overflowing_features_stop_training_before_the_release(self, monkeypatch):
+        # finite weights whose backbone features square to inf would end in
+        # a failed eigh; the cache-build pass refuses them as a divergence
+        wires = record_wires(monkeypatch)
+        data, model, params, buffers, cfg = tiny_setup(n=32, ep1=0, ep2=1, epsilon=0.5)
+        params["bb/conv/w"] = params["bb/conv/w"] * 1e160
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDiverged, match="cache-build backbone features overflow"):
             run_split_training(model, params, buffers, data, DCFG, cfg)
         (wire,) = wires
         assert wire.phase == "cache-build"
