@@ -391,7 +391,7 @@ def cmd_infer(args) -> int:
     public_params, public_buffers, _ = load_checkpoint(ckpt_dir / "public.dltp")
     model, dcfg, tcfg, sigma = _model_from_meta(meta)
     (private_shapes, private_buffer_shapes), (public_shapes, public_buffer_shapes) = (
-        split_params(model.param_keys(), model.buffer_keys())
+        split_params(*model.tensor_shapes())
     )
     _check_tensors("private parameter", private_params, private_shapes)
     _check_tensors("private buffer", private_buffers, private_buffer_shapes)

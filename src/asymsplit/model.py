@@ -17,7 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .numerics import (
     conv2d_backward_batch,
     conv2d_forward_batch,
     conv_out_size,
+    resolve_padding,
 )
 from .privacy import perturb, quantize
 
@@ -34,14 +36,12 @@ _NORM_EPS = 1e-5
 _NORM_MOMENTUM = 0.1
 
 
-def he_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
 # ---------------------------------------------------------------------------
 # Layers.  Shared protocol:
-#   shapes()/buffer_shapes() declare parameter and buffer arrays;
-#   init(rng, params) / init_buffers(buffers) fill them;
+#   tensors() declares each parameter and buffer once, as a Tensor: its
+#     key, its shape and how it starts.  init(rng, params, buffers) fills
+#     them in declaration order, and tensor_shapes() reads their shapes
+#     without allocating;
 #   forward(params, buffers, x, train) -> (y, cache);
 #   backward(params, cache, gy, grads) -> gx, accumulating into grads
 #     (gx is None for a Conv2d or ResBlock built with input_grad=False,
@@ -51,52 +51,50 @@ def he_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 # per-class tracing looks them up.
 # ---------------------------------------------------------------------------
 
+class Tensor(NamedTuple):
+    """A declared parameter (or buffer): an N(0, std^2) draw when ``std``
+    is set, else the constant ``fill``."""
+
+    key: str
+    shape: tuple
+    std: float | None = None
+    fill: float = 0.0
+    buffer: bool = False
+
+
 class Layer:
     """Defaults for the parts of the protocol a layer may not need: no
-    parameters, no buffers, no multiply-accumulates, shape unchanged."""
+    tensors, no multiply-accumulates, shape unchanged."""
 
-    def shapes(self):
-        return {}
+    def tensors(self):
+        return ()
 
-    def buffer_shapes(self):
-        return {}
+    def init(self, rng, params, buffers):
+        for t in self.tensors():
+            value = np.full(t.shape, t.fill) if t.std is None else rng.normal(0.0, t.std, t.shape)
+            (buffers if t.buffer else params)[t.key] = value
 
-    def init(self, rng, params):
-        pass
-
-    def init_buffers(self, buffers):
-        pass
+    def tensor_shapes(self):
+        """(parameter shapes, buffer shapes) by key."""
+        params, buffers = {}, {}
+        for t in self.tensors():
+            (buffers if t.buffer else params)[t.key] = t.shape
+        return params, buffers
 
     def macs(self, in_shape):
         return 0, in_shape
 
 
-class Composite(Layer):
-    """A layer made of sublayers; parameters, buffers and rng draws follow
-    the order of ``parts()``."""
+def _he_std(fan_in: int) -> float:
+    return np.sqrt(2.0 / fan_in)
 
-    def parts(self):
-        raise NotImplementedError
 
-    def shapes(self):
-        out = {}
-        for part in self.parts():
-            out.update(part.shapes())
-        return out
-
-    def buffer_shapes(self):
-        out = {}
-        for part in self.parts():
-            out.update(part.buffer_shapes())
-        return out
-
-    def init(self, rng, params):
-        for part in self.parts():
-            part.init(rng, params)
-
-    def init_buffers(self, buffers):
-        for part in self.parts():
-            part.init_buffers(buffers)
+def _conv_macs(conv, in_shape, per_position):
+    """(MACs, out_shape) of a k x k conv doing ``per_position`` multiplies
+    at each output position of a (c, h, w) input."""
+    pad = resolve_padding(conv.padding, conv.k)
+    oh, ow = (conv_out_size(size, conv.k, conv.stride, pad) for size in in_shape[1:])
+    return per_position * oh * ow, (conv.out_ch, oh, ow)
 
 
 class Conv2d(Layer):
@@ -107,13 +105,9 @@ class Conv2d(Layer):
         self.input_grad = input_grad
         self.key = f"{prefix}/w"
 
-    def shapes(self):
-        return {self.key: (self.out_ch, self.in_ch, self.k, self.k)}
-
-    def init(self, rng, params):
-        params[self.key] = he_normal(
-            rng, (self.out_ch, self.in_ch, self.k, self.k), self.in_ch * self.k**2
-        )
+    def tensors(self):
+        shape = (self.out_ch, self.in_ch, self.k, self.k)
+        return (Tensor(self.key, shape, _he_std(self.in_ch * self.k**2)),)
 
     def forward(self, params, buffers, x, train):
         y = conv2d_forward_batch(x, params[self.key], self.stride, self.padding)
@@ -127,11 +121,7 @@ class Conv2d(Layer):
         return gx
 
     def macs(self, in_shape):
-        c, h, w = in_shape
-        pad = self.k // 2 if self.padding == "same" else self.padding
-        oh = conv_out_size(h, self.k, self.stride, pad)
-        ow = conv_out_size(w, self.k, self.stride, pad)
-        return self.out_ch * c * self.k**2 * oh * ow, (self.out_ch, oh, ow)
+        return _conv_macs(self, in_shape, self.out_ch * in_shape[0] * self.k**2)
 
 
 class LowRankConv2d(Layer):
@@ -145,17 +135,12 @@ class LowRankConv2d(Layer):
         self.stride, self.padding = stride, padding
         self.key1, self.key2 = f"{prefix}/w1", f"{prefix}/w2"
 
-    def shapes(self):
-        return {
-            self.key1: (self.q, self.in_ch, self.k, self.k),
-            self.key2: (self.out_ch, self.q, 1, 1),
-        }
-
-    def init(self, rng, params):
-        params[self.key1] = he_normal(
-            rng, (self.q, self.in_ch, self.k, self.k), self.in_ch * self.k**2
+    def tensors(self):
+        return (
+            Tensor(self.key1, (self.q, self.in_ch, self.k, self.k),
+                   _he_std(self.in_ch * self.k**2)),
+            Tensor(self.key2, (self.out_ch, self.q, 1, 1), _he_std(self.q)),
         )
-        params[self.key2] = he_normal(rng, (self.out_ch, self.q, 1, 1), self.q)
 
     def forward(self, params, buffers, x, train):
         mid = conv2d_forward_batch(x, params[self.key1], self.stride, self.padding)
@@ -171,12 +156,8 @@ class LowRankConv2d(Layer):
         return gx
 
     def macs(self, in_shape):
-        c, h, w = in_shape
-        pad = self.k // 2 if self.padding == "same" else self.padding
-        oh = conv_out_size(h, self.k, self.stride, pad)
-        ow = conv_out_size(w, self.k, self.stride, pad)
-        per_pos = self.q * c * self.k**2 + self.out_ch * self.q
-        return per_pos * oh * ow, (self.out_ch, oh, ow)
+        per_position = self.q * in_shape[0] * self.k**2 + self.out_ch * self.q
+        return _conv_macs(self, in_shape, per_position)
 
 
 class ChannelNorm(Layer):
@@ -187,19 +168,10 @@ class ChannelNorm(Layer):
         self.kw, self.kb = f"{prefix}/scale", f"{prefix}/shift"
         self.km, self.kv = f"{prefix}/running_mean", f"{prefix}/running_var"
 
-    def shapes(self):
-        return {self.kw: (self.ch,), self.kb: (self.ch,)}
-
-    def buffer_shapes(self):
-        return {self.km: (self.ch,), self.kv: (self.ch,)}
-
-    def init(self, rng, params):
-        params[self.kw] = np.ones(self.ch)
-        params[self.kb] = np.zeros(self.ch)
-
-    def init_buffers(self, buffers):
-        buffers[self.km] = np.zeros(self.ch)
-        buffers[self.kv] = np.ones(self.ch)
+    def tensors(self):
+        ch = (self.ch,)
+        return (Tensor(self.kw, ch, fill=1.0), Tensor(self.kb, ch),
+                Tensor(self.km, ch, buffer=True), Tensor(self.kv, ch, fill=1.0, buffer=True))
 
     def forward(self, params, buffers, x, train):
         """Normalize, scale and shift x with the affine folded into one
@@ -275,12 +247,9 @@ class Linear(Layer):
         self.in_dim, self.out_dim = in_dim, out_dim
         self.kw, self.kb = f"{prefix}/w", f"{prefix}/b"
 
-    def shapes(self):
-        return {self.kw: (self.out_dim, self.in_dim), self.kb: (self.out_dim,)}
-
-    def init(self, rng, params):
-        params[self.kw] = rng.normal(0.0, np.sqrt(1.0 / self.in_dim), (self.out_dim, self.in_dim))
-        params[self.kb] = np.zeros(self.out_dim)
+    def tensors(self):
+        return (Tensor(self.kw, (self.out_dim, self.in_dim), np.sqrt(1.0 / self.in_dim)),
+                Tensor(self.kb, (self.out_dim,)))
 
     def forward(self, params, buffers, x, train):
         return x @ params[self.kw].T + params[self.kb], x
@@ -294,12 +263,14 @@ class Linear(Layer):
         return self.out_dim * self.in_dim, (self.out_dim,)
 
 
-class Sequential(Composite):
+class Sequential(Layer):
+    """Layers applied in order; their tensors and rng draws follow it."""
+
     def __init__(self, layers):
         self.layers = list(layers)
 
-    def parts(self):
-        return self.layers
+    def tensors(self):
+        return tuple(t for layer in self.layers for t in layer.tensors())
 
     def forward(self, params, buffers, x, train):
         caches = []
@@ -321,87 +292,56 @@ class Sequential(Composite):
         return total, in_shape
 
 
-class ResBlock(Composite):
-    """Two k x k convs with a skip; convs are dense or factorized (q set).
+class ResBlock(Layer):
+    """relu(body(x) + skip(x)): two k x k convs, dense or factorized (q
+    set), with a 1 x 1 projection on the skip when the shape changes.
 
-    With ``input_grad=False`` backward returns None; dense convs that read
-    the block's input (conv1 and proj) then skip their input gradient.
+    ``body`` is conv1, norm1, ReLU, conv2, norm2 and ``skip`` is proj,
+    proj_norm (empty for an identity skip); ``normalize=False`` leaves the
+    norms out.  With ``input_grad=False`` backward returns None; dense convs
+    that read the block's input (conv1 and proj) then skip their input
+    gradient.
     """
 
     def __init__(self, prefix, in_ch, n, k, stride, q=None, normalize=True, input_grad=True):
         self.prefix = prefix
         self.input_grad = input_grad
-        pad = k // 2
 
-        def conv(name, cin, cout, kk, s, p, ig=True):
-            if q is None or kk == 1:
-                return Conv2d(name, cin, cout, kk, s, p, ig)
-            return LowRankConv2d(name, cin, cout, kk, q, s, p)
+        def conv(name, cin, s, ig=True):
+            if q is None or k == 1:
+                return Conv2d(f"{prefix}/{name}", cin, n, k, s, k // 2, ig)
+            return LowRankConv2d(f"{prefix}/{name}", cin, n, k, q, s, k // 2)
 
-        self.conv1 = conv(f"{prefix}/conv1", in_ch, n, k, stride, pad, input_grad)
-        self.norm1 = ChannelNorm(f"{prefix}/norm1", n) if normalize else None
-        self.relu1 = ReLU()
-        self.conv2 = conv(f"{prefix}/conv2", n, n, k, 1, pad)
-        self.norm2 = ChannelNorm(f"{prefix}/norm2", n) if normalize else None
-        self.relu2 = ReLU()
-        if in_ch != n or stride != 1:
-            self.proj = Conv2d(f"{prefix}/proj", in_ch, n, 1, stride, 0, input_grad)
-            self.proj_norm = ChannelNorm(f"{prefix}/proj_norm", n) if normalize else None
-        else:
-            self.proj = None
-            self.proj_norm = None
+        def norm(name):
+            return [ChannelNorm(f"{prefix}/{name}", n)] if normalize else []
 
-    def parts(self):
-        parts = [self.conv1, self.norm1, self.relu1, self.conv2, self.norm2,
-                 self.relu2, self.proj, self.proj_norm]
-        return [p for p in parts if p is not None]
+        self.body = Sequential([conv("conv1", in_ch, stride, input_grad), *norm("norm1"),
+                                ReLU(), conv("conv2", n, 1), *norm("norm2")])
+        self.skip = Sequential(
+            [Conv2d(f"{prefix}/proj", in_ch, n, 1, stride, 0, input_grad), *norm("proj_norm")]
+            if in_ch != n or stride != 1 else []
+        )
+        self.relu = ReLU()
+
+    def tensors(self):
+        return self.body.tensors() + self.skip.tensors()
 
     def forward(self, params, buffers, x, train):
-        y, c1 = self.conv1.forward(params, buffers, x, train)
-        n1 = None
-        if self.norm1 is not None:
-            y, n1 = self.norm1.forward(params, buffers, y, train)
-        y, r1 = self.relu1.forward(params, buffers, y, train)
-        y, c2 = self.conv2.forward(params, buffers, y, train)
-        n2 = None
-        if self.norm2 is not None:
-            y, n2 = self.norm2.forward(params, buffers, y, train)
-        if self.proj is not None:
-            skip, cp = self.proj.forward(params, buffers, x, train)
-            np_cache = None
-            if self.proj_norm is not None:
-                skip, np_cache = self.proj_norm.forward(params, buffers, skip, train)
-        else:
-            skip, cp, np_cache = x, None, None
-        out, r2 = self.relu2.forward(params, buffers, y + skip, train)
-        return out, (c1, n1, r1, c2, n2, cp, np_cache, r2)
+        y, body_cache = self.body.forward(params, buffers, x, train)
+        s, skip_cache = self.skip.forward(params, buffers, x, train)
+        out, relu_cache = self.relu.forward(params, buffers, y + s, train)
+        return out, (body_cache, skip_cache, relu_cache)
 
     def backward(self, params, cache, gy, grads):
-        c1, n1, r1, c2, n2, cp, np_cache, r2 = cache
-        g = self.relu2.backward(params, r2, gy, grads)
-        gskip = g
-        if self.norm2 is not None:
-            g = self.norm2.backward(params, n2, g, grads)
-        g = self.conv2.backward(params, c2, g, grads)
-        g = self.relu1.backward(params, r1, g, grads)
-        if self.norm1 is not None:
-            g = self.norm1.backward(params, n1, g, grads)
-        gx = self.conv1.backward(params, c1, g, grads)
-        if self.proj is not None:
-            if self.proj_norm is not None:
-                gskip = self.proj_norm.backward(params, np_cache, gskip, grads)
-            gskip = self.proj.backward(params, cp, gskip, grads)
-        if not self.input_grad:
-            return None
-        return gx + gskip
+        body_cache, skip_cache, relu_cache = cache
+        g = self.relu.backward(params, relu_cache, gy, grads)
+        gx = self.body.backward(params, body_cache, g, grads)
+        gs = self.skip.backward(params, skip_cache, g, grads)
+        return gx + gs if self.input_grad else None
 
     def macs(self, in_shape):
-        total, shape = self.conv1.macs(in_shape)
-        n2, shape = self.conv2.macs(shape)
-        total += n2
-        if self.proj is not None:
-            total += self.proj.macs(in_shape)[0]
-        return total, shape
+        total, shape = self.body.macs(in_shape)
+        return total + self.skip.macs(in_shape)[0], shape
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +440,17 @@ class Model:
             spec.normalize, lowrank=False, input_grad=False,
         )
 
+    def _networks(self):
+        return Sequential([self.backbone, self.main, self.res])
+
     def init(self, seed: int):
-        rng = np.random.default_rng(seed)
         params, buffers = {}, {}
-        for part in (self.backbone, self.main, self.res):
-            part.init(rng, params)
-            part.init_buffers(buffers)
+        self._networks().init(np.random.default_rng(seed), params, buffers)
         return params, buffers
+
+    def tensor_shapes(self):
+        """(parameter shapes, buffer shapes) of all three networks, by key."""
+        return self._networks().tensor_shapes()
 
     # thin wrappers so training code reads naturally
     def forward_backbone(self, params, buffers, x, train):
@@ -530,18 +474,6 @@ class Model:
     def backward_res(self, params, cache, gz, grads):
         return self.res.backward(params, cache, gz, grads)
 
-    def param_keys(self):
-        keys = {}
-        for part in (self.backbone, self.main, self.res):
-            keys.update(part.shapes())
-        return keys
-
-    def buffer_keys(self):
-        keys = {}
-        for part in (self.backbone, self.main, self.res):
-            keys.update(part.buffer_shapes())
-        return keys
-
 
 def count_macs(spec: ModelSpec, image_hw, dcfg) -> dict:
     """Multiply-accumulate totals per branch and the private/public ratio.
@@ -553,9 +485,7 @@ def count_macs(spec: ModelSpec, image_hw, dcfg) -> dict:
     model = Model(spec)
     h, w = image_hw
     bb, feat_shape = model.backbone.macs((spec.in_channels, h, w))
-    c, fh, fw = feat_shape
-    main_in = (c, fh // dcfg.t * dcfg.t_prime, fw // dcfg.t * dcfg.t_prime)
-    main, _ = model.main.macs(main_in)
+    main, _ = model.main.macs(dcfg.main_shape(feat_shape))
     res, _ = model.res.macs(feat_shape)
     return {
         "backbone": bb,

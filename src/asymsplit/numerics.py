@@ -151,7 +151,7 @@ def idct_block(coeffs, t_src: int, t_keep: int | None = None) -> np.ndarray:
 # Convolution by matrix lowering (Y = W . X on the lowered input)
 # ---------------------------------------------------------------------------
 
-def _resolve_padding(padding, k: int) -> int:
+def resolve_padding(padding, k: int) -> int:
     if padding == "same":
         return k // 2
     pad = int(padding)
@@ -232,7 +232,7 @@ def conv2d_forward_batch(x, weights, stride: int = 1, padding=0) -> np.ndarray:
     weights = np.asarray(weights, dtype=x.dtype)
     _check_conv_shapes(x, weights)
     n, c, k, _ = weights.shape
-    pad = _resolve_padding(padding, k)
+    pad = resolve_padding(padding, k)
     b, _, h, w = x.shape
     out_h = conv_out_size(h, k, stride, pad)
     out_w = conv_out_size(w, k, stride, pad)
@@ -254,7 +254,7 @@ def conv2d_backward_batch(grad_out, x, weights, stride: int = 1, padding=0,
     grad_out = np.asarray(grad_out, dtype=x.dtype)
     _check_conv_shapes(x, weights)
     n, c, k, _ = weights.shape
-    pad = _resolve_padding(padding, k)
+    pad = resolve_padding(padding, k)
     b, _, h, w = x.shape
     out_h = conv_out_size(h, k, stride, pad)
     out_w = conv_out_size(w, k, stride, pad)

@@ -158,8 +158,6 @@ def quantize(ir_noisy) -> np.ndarray:
 class ResidualCache:
     """Immutable store of one-shot quantized residual bits, keyed by sample id."""
 
-    seed: int
-    params: PrivacyParams | None
     _bits: MappingProxyType = field(repr=False)
 
     def __len__(self) -> int:
@@ -228,4 +226,4 @@ def build_cache(residuals, params: PrivacyParams | None, seed: int, sigma: float
         bits = quantize(add_noise(np.empty_like(block), block, sigma, seed, chunk, gen))
         bits.setflags(write=False)
         store.update(zip(chunk, bits))
-    return ResidualCache(seed=seed, params=params, _bits=MappingProxyType(store))
+    return ResidualCache(MappingProxyType(store))

@@ -478,6 +478,8 @@ def run_split_training(model: Model, params, buffers, data,
             wire.send("private", Frame(FrameKind.RESIDUAL_BITS, sample_id, cache.bits(sample_id)))
             frame = wire.recv("public", FrameKind.RESIDUAL_BITS, bits_shape)
             public.store[frame.frame_id] = frame.data
+        # the public side holds its received copies; the private one is done
+        del cache
 
         # stage 2: both sides derive the schedule; two frames per batch
         wire.phase = "stage2"

@@ -228,7 +228,7 @@ def test_gradient_suite(verdict):
 
     layer = LowRankConv2d("l", 3, 4, 3, q=2, stride=1, padding=1)
     params = {}
-    layer.init(rng, params)
+    layer.init(rng, params, {})
     xb = rng.normal(size=(2, 3, 5, 5))
     yb, cache = layer.forward(params, {}, xb, True)
     projb = rng.normal(size=yb.shape)

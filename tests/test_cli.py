@@ -523,12 +523,21 @@ class TestInferCmd:
         assert "private parameter 'main/fc/" in capsys.readouterr().err
 
     def test_wider_spec_than_parameters_is_data_error(self, tiny_run, tmp_path, capsys):
-        def edit(meta):
+        # the second width is one no allocation could satisfy: the shape
+        # check reads the declared shapes and allocates nothing
+        def widen_backbone(meta):
             meta["spec"]["bb_channels"] = 16
             return meta
 
-        assert self.infer_with_meta(tiny_run, tmp_path, edit) == 2
-        assert "the model its spec builds" in capsys.readouterr().err
+        def forge_res_width(meta):
+            meta["spec"]["res_blocks"][1]["n"] = 2**31
+            return meta
+
+        for edit in (widen_backbone, forge_res_width):
+            case = tmp_path / edit.__name__
+            case.mkdir()
+            assert self.infer_with_meta(tiny_run, case, edit) == 2, edit.__name__
+            assert "the model its spec builds" in capsys.readouterr().err, edit.__name__
 
     def test_missing_checkpoint_is_usage_error(self, tmp_path, capsys):
         images = tmp_path / "x.npy"

@@ -21,7 +21,6 @@ from asymsplit.model import (
     default_spec,
     factorize_reference,
     forward_full,
-    he_normal,
     ReLU,
     load_checkpoint,
     orth_reg,
@@ -184,7 +183,7 @@ class TestLayerGradients:
         rng = np.random.default_rng(8)
         layer = Conv2d("c", 2, 3, 3, stride=2, padding=1)
         params = {}
-        layer.init(rng, params)
+        layer.init(rng, params, {})
         x = rng.normal(size=(2, 2, 6, 6))
         y, cache = layer.forward(params, {}, x, True)
         proj = rng.normal(size=y.shape)
@@ -201,7 +200,7 @@ class TestLayerGradients:
         rng = np.random.default_rng(9)
         layer = LowRankConv2d("l", 3, 4, 3, q=2, stride=1, padding=1)
         params = {}
-        layer.init(rng, params)
+        layer.init(rng, params, {})
         x = rng.normal(size=(2, 3, 5, 5))
         y, cache = layer.forward(params, {}, x, True)
         proj = rng.normal(size=y.shape)
@@ -219,7 +218,7 @@ class TestLayerGradients:
         rng = np.random.default_rng(10)
         layer = ChannelNorm("n", 3)
         params = {}
-        layer.init(rng, params)
+        layer.init(rng, params, {})
         params["n/scale"] = rng.normal(size=3) + 1.0
         params["n/shift"] = rng.normal(size=3)
         # the NCHW view of an NHWC array, as convolutions return it;
@@ -229,7 +228,7 @@ class TestLayerGradients:
 
         def fresh_buffers():
             b = {}
-            layer.init_buffers(b)
+            layer.init(rng, {}, b)
             return b
 
         y, cache = layer.forward(params, fresh_buffers(), x, True)
@@ -279,7 +278,7 @@ class TestLayerGradients:
         rng = np.random.default_rng(13)
         layer = ChannelNorm("n", 4)
         params, buffers = {}, {}
-        layer.init(rng, params)
+        layer.init(rng, params, {})
         buffers = {"n/running_mean": rng.normal(size=4),
                    "n/running_var": rng.uniform(0.5, 2.0, size=4)}
         before = {k: v.copy() for k, v in buffers.items()}
@@ -299,8 +298,7 @@ class TestLayerGradients:
         rng = np.random.default_rng(11)
         layer = ChannelNorm("n", 4)
         params, buffers = {}, {}
-        layer.init(rng, params)
-        layer.init_buffers(buffers)
+        layer.init(rng, params, buffers)
         x = 3.0 + 2.0 * rng.normal(size=(8, 4, 6, 6))
         y, _ = layer.forward(params, buffers, x, True)
         means = y.mean(axis=(0, 2, 3))
@@ -311,25 +309,38 @@ class TestLayerGradients:
         assert np.all(buffers["n/running_mean"] > 0)
 
     def test_resblock_gradients(self):
+        # a factorized block with a projection skip, then a dense block with
+        # an identity skip (in_ch == n, stride 1) with and without the input
+        # gradient; without it backward returns None and every weight still
+        # gets its gradient
         rng = np.random.default_rng(12)
-        block = ResBlock("rb", 2, 3, 3, stride=2, q=2, normalize=False)
-        params = {}
-        block.init(rng, params)
-        x = rng.normal(size=(2, 2, 6, 6))
-        y, cache = block.forward(params, {}, x, True)
-        proj = rng.normal(size=y.shape)
-        grads = {}
-        gx = block.backward(params, cache, proj, grads)
+        cases = (
+            (ResBlock("rb", 2, 3, 3, stride=2, q=2, normalize=False), (2, 2, 6, 6)),
+            (ResBlock("id", 3, 3, 3, stride=1), (2, 3, 5, 5)),
+            (ResBlock("id", 3, 3, 3, stride=1, input_grad=False), (2, 3, 5, 5)),
+        )
+        for block, x_shape in cases:
+            params, buffers = {}, {}
+            block.init(rng, params, buffers)
+            x = rng.normal(size=x_shape)
+            y, cache = block.forward(params, buffers, x, True)
+            proj = rng.normal(size=y.shape)
+            grads = {}
+            gx = block.backward(params, cache, proj, grads)
 
-        def loss():
-            out, _ = block.forward(params, {}, x, True)
-            return float(np.sum(proj * out))
+            def loss():
+                out, _ = block.forward(params, buffers, x, True)
+                return float(np.sum(proj * out))
 
-        fd_x = central_diff(lambda: loss(), x)
-        assert np.linalg.norm(gx - fd_x) / max(np.linalg.norm(fd_x), 1e-12) <= 1e-5
-        for key, g in grads.items():
-            fd = central_diff(lambda: loss(), params[key])
-            assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12) <= 1e-5, key
+            if block.input_grad:
+                fd_x = central_diff(loss, x)
+                assert np.linalg.norm(gx - fd_x) / max(np.linalg.norm(fd_x), 1e-12) <= 1e-5
+            else:
+                assert gx is None
+            assert grads.keys() == params.keys(), block.prefix
+            for key, g in grads.items():
+                fd = central_diff(loss, params[key])
+                assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12) <= 1e-5, key
 
 
 class TestResidualBranch:
@@ -562,8 +573,9 @@ class TestInit:
             np.testing.assert_array_equal(p1[key], p2[key])
 
     def test_he_scaling(self):
-        rng = np.random.default_rng(0)
-        w = he_normal(rng, (256, 64, 3, 3), 64 * 9)
+        params = {}
+        Conv2d("c", 64, 256, 3).init(np.random.default_rng(0), params, {})
+        w = params["c/w"]
         assert abs(w.std() - np.sqrt(2.0 / (64 * 9))) / np.sqrt(2.0 / (64 * 9)) <= 0.05
 
     def test_init_digest_pinned(self):
@@ -581,23 +593,30 @@ class TestInit:
     def test_layer_defaults(self):
         layer = Layer()
         params, buffers = {}, {}
-        layer.init(np.random.default_rng(0), params)
-        layer.init_buffers(buffers)
-        assert layer.shapes() == {} and layer.buffer_shapes() == {}
+        layer.init(np.random.default_rng(0), params, buffers)
+        assert layer.tensors() == () and layer.tensor_shapes() == ({}, {})
         assert params == {} and buffers == {}
         assert layer.macs((3, 4, 5)) == (0, (3, 4, 5))
 
     def test_every_layer_defines_its_own_passes(self):
         # per-class tracing reads forward/backward from the class body
-        for cls in (Conv2d, LowRankConv2d, ChannelNorm, ReLU, GlobalAvgPool,
-                    Linear, Sequential, ResBlock):
-            assert issubclass(cls, Layer)
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        found = set(subclasses(Layer))
+        assert {Conv2d, LowRankConv2d, ChannelNorm, ReLU, GlobalAvgPool,
+                Linear, Sequential, ResBlock} <= found
+        for cls in found:
             assert "forward" in cls.__dict__ and "backward" in cls.__dict__, cls
 
     def test_all_declared_params_present(self):
         model = Model(default_spec())
         params, buffers = model.init(seed=0)
-        assert set(params) == set(model.param_keys())
-        assert set(buffers) == set(model.buffer_keys())
-        for key, shape in model.param_keys().items():
-            assert params[key].shape == tuple(shape)
+        param_shapes, buffer_shapes = model.tensor_shapes()
+        assert set(params) == set(param_shapes)
+        assert set(buffers) == set(buffer_shapes)
+        for arrays, shapes in ((params, param_shapes), (buffers, buffer_shapes)):
+            for key, shape in shapes.items():
+                assert arrays[key].shape == shape
