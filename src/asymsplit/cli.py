@@ -413,20 +413,36 @@ def cmd_infer(args) -> int:
     return 0
 
 
+def _report_row(path: Path):
+    """(epsilon, main, merged) from one report.json, or a ValueError naming
+    the file and the first field that is missing or of the wrong type."""
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if type(payload) is not dict:
+        raise ValueError(f"{path}: a {type(payload).__name__}, not a JSON object")
+    row = []
+    # field, what it must be, the values it may take besides a number
+    for key, want, extras in (("epsilon", 'a number or "inf"', ("inf",)),
+                              ("val_main_accuracy", "a number", ()),
+                              ("val_merged_accuracy", "a number or null", (None,))):
+        if key not in payload:
+            raise ValueError(f"{path}: field {key!r} is missing")
+        value = payload[key]
+        if type(value) not in (int, float) and value not in extras:
+            raise ValueError(f"{path}: field {key!r} is a {type(value).__name__}, not {want}")
+        row.append(value)
+    return (math.inf if row[0] == "inf" else float(row[0])), row[1], row[2]
+
+
 def cmd_report(args) -> int:
     rows = []
     for run_dir in args.runs:
         report_path = Path(run_dir) / "report.json"
         if not report_path.is_file():
             raise UsageError(f"no report.json under {run_dir}")
-        payload = json.loads(report_path.read_text())
-        epsilon = payload["epsilon"]
-        rows.append((
-            math.inf if epsilon == "inf" else float(epsilon),
-            payload["val_main_accuracy"],
-            payload["val_merged_accuracy"],
-            str(run_dir),
-        ))
+        rows.append((*_report_row(report_path), str(run_dir)))
     rows.sort(key=lambda row: row[0])
     print(f"{'epsilon':>10}  {'main':>7}  {'merged':>7}  run")
     for epsilon, main, merged, run_dir in rows:

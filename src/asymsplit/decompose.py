@@ -5,15 +5,24 @@ top-r principal channels restricted to low spatial frequencies -- and a
 full-resolution residual carrying everything the main part discards.  The
 residual is l2-clipped so that downstream noise calibration can treat its
 norm as a fixed sensitivity bound.
+
+The batched splits see the spatial low pass -- keep the t' x t' DCT
+corner of every t-block, invert it at t' -- as one cached (h'w', hw)
+operator K.  With U the top-r channel basis of a sample X flattened to
+(c, hw), ir_main = U U^T X K^T, the unclipped residual is X - ir_main K,
+and the adjoint for a gradient G on ir_main is U U^T G K: a few
+per-sample matmuls each.  The per-sample SVD :func:`decompose`, which runs
+the block DCT itself, is the oracle the tests pin them against.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SvdFactors, as_tensor3, dct_block_forward, idct_block, svd
+from .numerics import SvdFactors, as_tensor3, dct_block_forward, dct_matrix, idct_block, svd
 
 
 @dataclass(frozen=True)
@@ -136,20 +145,35 @@ def _channel_basis_batch(flat: np.ndarray, r: int) -> np.ndarray:
     return vecs[:, :, ::-1][:, :, :r]
 
 
-def _lift(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """U_r V per sample: (b, c, r) bases times (b, r, ...) maps -> (b, c, ...)."""
-    b, r = v.shape[:2]
-    return (basis @ v.reshape(b, r, -1)).reshape(b, basis.shape[1], *v.shape[2:])
+@functools.lru_cache(maxsize=None)
+def lowpass_operator(h: int, w: int, t: int, t_prime: int) -> np.ndarray:
+    """The block-DCT low pass of one (h, w) channel as an (h'w', hw) matrix K.
+
+    Per axis and t-block the low pass is L = T_t'^T T_t[:t'], of shape
+    (t', t), and K is the Kronecker product of the row and column
+    block-diagonals of L.  On row-major flattened channels ``x @ K.T`` is
+    ``idct_block(dct_block_forward(x, t), t, t')``, and ``(x @ K.T) @ K``
+    that low pass zero-padded back to full resolution.  Built once per
+    shape and shared by every caller, so the returned array is read-only.
+    """
+    if not 1 <= t_prime <= t or h % t or w % t:
+        raise ValueError(f"no t'={t_prime} low pass of t={t} blocks on ({h}, {w}) channels")
+    lp = dct_matrix(t_prime).T @ dct_matrix(t)[:t_prime]
+    k = np.kron(np.kron(np.eye(h // t), lp), np.kron(np.eye(w // t), lp))
+    k.flags.writeable = False
+    return k
 
 
 def _main_stage(xs, cfg: DecompositionConfig):
-    """The stage both batched splits share, from the input batch to ir_main.
+    """The stage both batched splits share: (xs, basis, k, ir_main).
 
-    Returns (flat, basis, proj, coeffs, ir_main): the (b, c, hw) view of the
-    batch, each sample's top-r channel basis U_r, P = U_r^T X, the block DCT
-    of P, and ir_main = U_r lowpass(P).
+    xs as a C-ordered float64 batch, each sample's top-r channel basis U,
+    the low-pass operator K and ir_main = U (U^T X) K^T.  Every product is
+    stacked per sample, never folded into one (b*c, hw) GEMM, so a
+    sample's rows do not depend on the batch it came in: the stage-2
+    private step reads ir_main rows kept from the cache-build batches.
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.ndim != 4:
         raise ValueError(f"expected a (b, c, h, w) batch, got shape {xs.shape}")
     cfg.check_shape(xs.shape[1:])
@@ -157,34 +181,28 @@ def _main_stage(xs, cfg: DecompositionConfig):
 
     flat = xs.reshape(b, c, h * w)
     basis = _channel_basis_batch(flat, min(cfg.r, c))
-    proj = np.swapaxes(basis, 1, 2) @ flat  # (b, r, hw)
-    coeffs = dct_block_forward(proj.reshape(b, -1, h, w), cfg.t)
-    ir_main = _lift(basis, idct_block(coeffs, cfg.t, cfg.t_prime))
-    return flat, basis, proj, coeffs, ir_main
+    k = lowpass_operator(h, w, cfg.t, cfg.t_prime)
+    ir_main = basis @ ((np.swapaxes(basis, 1, 2) @ flat) @ k.T)
+    return xs, basis, k, ir_main.reshape(b, *cfg.main_shape((c, h, w)))
 
 
 def decompose_batch(xs, cfg: DecompositionConfig):
     """Batched decompose: (b, c, h, w) -> (ir_main, ir_res) sample by sample.
 
     Same split as :func:`decompose` without the per-sample factor
-    bookkeeping.  With U_r the top-r channel basis and P = U_r^T X, the
-    main part is U_r lowpass(P), the channel residual is X - U_r P, and
-    the spatial residual is U_r highpass(P); their sum with the padded
-    main part reconstructs X exactly.  The main part comes from the same
-    low-pass stage as :func:`decompose_main_batch`.
+    bookkeeping: the unclipped residual X - ir_main K is the channel
+    residual X - U U^T X plus the spatial one U U^T X (I - K^T K).
     """
-    flat, basis, proj, coeffs, ir_main = _main_stage(xs, cfg)
-    b, _, h, w = coeffs.shape
-    t, tp = cfg.t, cfg.t_prime
+    xs, _, k, ir_main = _main_stage(xs, cfg)
+    b, c = xs.shape[:2]
+    # in place on the product's buffer: a fresh (b, c, hw) array per step
+    # costs more in first-touch page faults than the arithmetic
+    res = ir_main.reshape(b, c, -1) @ k
+    np.subtract(xs.reshape(b, c, -1), res, out=res)
 
-    svd_res = (flat - basis @ proj).reshape(b, -1, h, w)
-    hf_coeffs = coeffs * ~_lowfreq_mask(h, w, t, tp)
-    raw = svd_res + _lift(basis, idct_block(hf_coeffs, t, t))
-
-    norms = np.linalg.norm(raw.reshape(b, -1), axis=1)
-    scale = np.maximum(1.0, norms / cfg.C)
-    ir_res = raw / scale[:, None, None, None]
-    return ir_main, ir_res
+    norms = np.linalg.norm(res.reshape(b, -1), axis=1)
+    res /= np.maximum(1.0, norms / cfg.C)[:, None, None]
+    return ir_main, res.reshape(xs.shape)
 
 
 def decompose_main_batch(xs, cfg: DecompositionConfig):
@@ -193,17 +211,16 @@ def decompose_main_batch(xs, cfg: DecompositionConfig):
     Returns (ir_main, basis) where basis[b] holds an orthonormal basis of
     sample b's top-r left singular subspace.
     """
-    _, basis, _, _, ir_main = _main_stage(xs, cfg)
+    _, basis, _, ir_main = _main_stage(xs, cfg)
     return ir_main, basis
 
 
 def decompose_main_adjoint(grad_ir_main, basis, cfg: DecompositionConfig) -> np.ndarray:
-    """Pull a gradient on ir_main back to the input, factors held frozen.
+    """Pull a gradient G on ir_main back to the input, factors held frozen.
 
-    With the sample's channel basis U_r and the spatial low-pass D treated
-    as constants, ir_main = U_r D(U_r^T X), so the adjoint is
-    gX = U_r D^T(U_r^T G).  D^T re-expands a reduced block to source size by
-    zero-padding its DCT coefficients.
+    With the sample's channel basis U and the low pass K held constant,
+    ir_main = U U^T X K^T, so the adjoint is gX = U U^T G K.  ``basis``
+    must have shape (b, c, r) for G's b and c, with 1 <= r <= c.
     """
     g = np.asarray(grad_ir_main, dtype=np.float64)
     basis = np.asarray(basis, dtype=np.float64)
@@ -213,18 +230,15 @@ def decompose_main_adjoint(grad_ir_main, basis, cfg: DecompositionConfig) -> np.
         raise ValueError(
             f"gradient spatial dims ({hr}, {wr}) not divisible by t_prime={tp}"
         )
+    if basis.ndim != 3 or basis.shape[:2] != (b, c) or not 1 <= basis.shape[2] <= c:
+        raise ValueError(
+            f"basis shape {basis.shape} does not match gradient shape {g.shape}: "
+            f"expected ({b}, {c}, r) with 1 <= r <= {c}"
+        )
     h, w = hr // tp * t, wr // tp * t
-    r = basis.shape[2]
-
-    proj = (np.swapaxes(basis, 1, 2) @ g.reshape(b, c, -1)).reshape(b, r, hr, wr)
-    # D^T: forward DCT at t', scatter into the low-frequency corner of
-    # t-blocks, invert at t.
-    small = dct_block_forward(proj, tp)
-    padded = np.zeros((b, r, h, w))
-    rows = np.flatnonzero((np.arange(h) % t) < tp)
-    cols = np.flatnonzero((np.arange(w) % t) < tp)
-    padded[..., rows[:, None], cols[None, :]] = small
-    return _lift(basis, idct_block(padded, t, t))
+    k = lowpass_operator(h, w, t, tp)
+    proj = np.swapaxes(basis, 1, 2) @ g.reshape(b, c, -1)
+    return (basis @ (proj @ k)).reshape(b, c, h, w)
 
 
 def spectrum(x, t: int, r_values, tprime_values):

@@ -563,6 +563,51 @@ class TestReportCmd:
     def test_missing_report_is_usage_error(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "void")]) == 1
 
+    GOOD = {"epsilon": 0.5, "val_main_accuracy": 0.75, "val_merged_accuracy": None}
+
+    def write_report(self, path, payload):
+        path.mkdir()
+        path.joinpath("report.json").write_text(json.dumps(payload))
+        return str(path)
+
+    def test_well_formed_reports_tabulate(self, tmp_path, capsys):
+        runs = [self.write_report(tmp_path / "a", {**self.GOOD, "epsilon": "inf"}),
+                self.write_report(tmp_path / "b", {**self.GOOD, "val_merged_accuracy": 1})]
+        assert main(["report", *runs]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:3] for line in lines[1:]] == [
+            ["0.5", "0.7500", "1.0000"], ["inf", "0.7500", "-"],
+        ]
+
+    @pytest.mark.parametrize("payload, field", [
+        ([GOOD], "JSON object"),
+        ({k: v for k, v in GOOD.items() if k != "val_main_accuracy"}, "val_main_accuracy"),
+        ({k: v for k, v in GOOD.items() if k != "val_merged_accuracy"}, "val_merged_accuracy"),
+        ({**GOOD, "val_main_accuracy": "0.75"}, "val_main_accuracy"),
+        ({**GOOD, "val_main_accuracy": None}, "val_main_accuracy"),
+        ({**GOOD, "val_main_accuracy": True}, "val_main_accuracy"),
+        ({**GOOD, "val_merged_accuracy": "high"}, "val_merged_accuracy"),
+        ({**GOOD, "epsilon": "0.5"}, "epsilon"),
+        ({**GOOD, "epsilon": None}, "epsilon"),
+    ], ids=["list", "no-main", "no-merged", "main-str", "main-null", "main-bool",
+            "merged-str", "epsilon-str", "epsilon-null"])
+    def test_malformed_report_is_data_error(self, tmp_path, capsys, payload, field):
+        good = self.write_report(tmp_path / "good", self.GOOD)
+        bad = self.write_report(tmp_path / "bad", payload)
+        # the bad file comes last, so a row printed before the check shows
+        assert main(["report", good, bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(tmp_path / "bad" / "report.json") in captured.err
+        assert field in captured.err
+
+    def test_report_not_json_is_data_error(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        run.joinpath("report.json").write_text("{")
+        assert main(["report", str(run)]) == 2
+        assert str(run / "report.json") in capsys.readouterr().err
+
 
 class TestIdxIngestion:
     def make_idx(self, tmp_path, n=8, side=16):

@@ -8,6 +8,7 @@ from asymsplit.decompose import (
     decompose_main_adjoint,
     decompose_main_batch,
     format_spectrum_csv,
+    lowpass_operator,
     normalize_residual,
     spectrum,
 )
@@ -246,6 +247,70 @@ def einsum_main_adjoint(g, basis, cfg):
     return np.einsum("bci,bi...->bc...", basis, einsum_idct(padded, t, t), optimize=True)
 
 
+class TestBatchIndependence:
+    """A sample's rows do not depend on the batch it comes in: stage 2 reads
+    ir_main rows from the cache-build batches while the in-process
+    reference recomputes them on gathered batches."""
+
+    CFG = DecompositionConfig(r=4, t=8, t_prime=2, C=1.0)
+
+    def batches(self, x):
+        rng = np.random.default_rng(80)
+        for b in (1, 16, 128):
+            xs = rng.normal(size=(b,) + x.shape)
+            pos = int(rng.integers(b))
+            xs[pos] = x
+            yield xs, pos
+        xs = rng.normal(size=(16,) + x.shape)
+        xs[3] = x
+        perm = rng.permutation(16)
+        yield xs[perm], int(np.flatnonzero(perm == 3)[0])
+
+    def test_rows_bitwise_equal(self):
+        rng = np.random.default_rng(81)
+        x = rng.normal(size=(8, 16, 16))
+        g = rng.normal(size=(8, 4, 4))
+        ref_main, ref_res = decompose_batch(x[None], self.CFG)
+        ref_main_only, ref_basis = decompose_main_batch(x[None], self.CFG)
+        ref_adj = decompose_main_adjoint(g[None], ref_basis, self.CFG)
+        for xs, pos in self.batches(x):
+            main, res = decompose_batch(xs, self.CFG)
+            main_only, basis = decompose_main_batch(xs, self.CFG)
+            gs = np.repeat(g[None], len(xs), axis=0)
+            adj = decompose_main_adjoint(gs, basis, self.CFG)
+            assert np.array_equal(main[pos], ref_main[0]), len(xs)
+            assert np.array_equal(res[pos], ref_res[0]), len(xs)
+            assert np.array_equal(main_only[pos], ref_main_only[0]), len(xs)
+            assert np.array_equal(basis[pos], ref_basis[0]), len(xs)
+            assert np.array_equal(adj[pos], ref_adj[0]), len(xs)
+
+
+class TestLowpassOperator:
+    @pytest.mark.parametrize("h, w, t, tp", [
+        (16, 16, 8, 2), (28, 28, 4, 2), (8, 24, 4, 3), (12, 6, 2, 1), (8, 16, 4, 4),
+    ])
+    def test_matches_definition(self, h, w, t, tp):
+        k = lowpass_operator(h, w, t, tp)
+        assert k.shape == ((h // t) * tp * (w // t) * tp, h * w)
+        x = np.random.default_rng(h * w + t + tp).normal(size=(3, h, w))
+        coeffs = dct_block_forward(x, t)
+        low = x.reshape(3, -1) @ k.T
+        np.testing.assert_allclose(
+            low, idct_block(coeffs, t, tp).reshape(3, -1), rtol=0, atol=1e-12
+        )
+        mask = ((np.arange(h) % t) < tp)[:, None] & ((np.arange(w) % t) < tp)[None, :]
+        np.testing.assert_allclose(
+            low @ k, idct_block(coeffs * mask, t, t).reshape(3, -1), rtol=0, atol=1e-12
+        )
+
+    def test_cached_read_only(self):
+        k = lowpass_operator(16, 16, 8, 2)
+        assert lowpass_operator(16, 16, 8, 2) is k
+        assert not k.flags.writeable
+        with pytest.raises(ValueError):
+            k[0, 0] = 1.0
+
+
 class TestEinsumPins:
     """The batched decomposition against its einsum formulation, at the
     benchmark's configuration."""
@@ -314,6 +379,16 @@ class TestAdjoint:
         cfg = DecompositionConfig(r=1, t=4, t_prime=3)
         with pytest.raises(ValueError, match="divisible"):
             decompose_main_adjoint(np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 1)), cfg)
+
+    @pytest.mark.parametrize("basis_shape", [(1, 8, 4), (3, 6, 4), (3, 8, 9), (3, 8, 0), (3, 8)])
+    def test_mismatched_basis_refused(self, basis_shape):
+        # a (1, c, r) basis would otherwise broadcast sample 0's basis over
+        # the whole batch
+        g = np.zeros((3, 8, 4, 4))
+        cfg = DecompositionConfig(r=4, t=8, t_prime=2)
+        with pytest.raises(ValueError) as err:
+            decompose_main_adjoint(g, np.zeros(basis_shape), cfg)
+        assert str(basis_shape) in str(err.value) and str(g.shape) in str(err.value)
 
 
 class TestSpectrum:
