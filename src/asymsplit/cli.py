@@ -257,16 +257,22 @@ def _model_from_meta(meta):
     return model, dcfg, tcfg, meta["sigma"]
 
 
-def _check_tensors(label: str, tensors: dict, expected: dict) -> None:
-    """Refuse checkpoint tensors whose keys or shapes differ from the model's."""
+def _check_tensors(path, label: str, tensors: dict, expected: dict) -> None:
+    """Refuse checkpoint tensors whose keys or shapes differ from the model's,
+    and any non-finite entry or negative running variance, which an eval
+    pass would fold into its kernels."""
     want = {key: tuple(shape) for key, shape in expected.items()}
     for key in sorted(want.keys() | tensors.keys()):
         got = tensors[key].shape if key in tensors else None
+        where = f"checkpoint {path}: {label} {key!r}"
         if got != want.get(key):
             raise ValueError(
-                f"checkpoint {label} {key!r} has shape {got}, "
-                f"the model its spec builds has {want.get(key)}"
+                f"{where} has shape {got}, the model its spec builds has {want.get(key)}"
             )
+        if not np.all(np.isfinite(tensors[key])):
+            raise ValueError(f"{where} has a non-finite entry")
+        if key.endswith("/running_var") and np.any(tensors[key] < 0):
+            raise ValueError(f"{where} has a negative entry")
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +377,17 @@ def cmd_train(args) -> int:
 def _load_infer_images(path: str) -> np.ndarray:
     if path.endswith(".npy"):
         xs = np.load(path)
+        if xs.dtype.kind not in "biuf":
+            raise ValueError(f"{path} holds {xs.dtype} values, not real numbers")
         if xs.ndim == 3:
             xs = xs[None]
         if xs.ndim != 4:
             raise ValueError(f"expected (n, c, h, w) or (c, h, w) tensor, got {xs.shape}")
-        return np.asarray(xs, dtype=np.float64)
+        with np.errstate(over="ignore"):  # what overflows float64 is refused below
+            xs = np.asarray(xs, dtype=np.float64)
+        if not np.all(np.isfinite(xs)):
+            raise ValueError(f"{path} holds a non-finite value")
+        return xs
     return load_idx_images(path)
 
 
@@ -387,16 +399,17 @@ def cmd_infer(args) -> int:
     if not Path(args.images).is_file():
         raise UsageError(f"input tensor file not found: {args.images}")
 
-    private_params, private_buffers, meta = load_checkpoint(ckpt_dir / "private.dltp")
-    public_params, public_buffers, _ = load_checkpoint(ckpt_dir / "public.dltp")
+    private_path, public_path = ckpt_dir / "private.dltp", ckpt_dir / "public.dltp"
+    private_params, private_buffers, meta = load_checkpoint(private_path)
+    public_params, public_buffers, _ = load_checkpoint(public_path)
     model, dcfg, tcfg, sigma = _model_from_meta(meta)
     (private_shapes, private_buffer_shapes), (public_shapes, public_buffer_shapes) = (
         split_params(*model.tensor_shapes())
     )
-    _check_tensors("private parameter", private_params, private_shapes)
-    _check_tensors("private buffer", private_buffers, private_buffer_shapes)
-    _check_tensors("public parameter", public_params, public_shapes)
-    _check_tensors("public buffer", public_buffers, public_buffer_shapes)
+    _check_tensors(private_path, "private parameter", private_params, private_shapes)
+    _check_tensors(private_path, "private buffer", private_buffers, private_buffer_shapes)
+    _check_tensors(public_path, "public parameter", public_params, public_shapes)
+    _check_tensors(public_path, "public buffer", public_buffers, public_buffer_shapes)
 
     xs = _load_infer_images(args.images)
     if xs.shape[1] != model.spec.in_channels:

@@ -10,12 +10,18 @@ entirely for deterministic gradient tests.
 The main branch uses factorized convolutions: a q-channel k x k projection
 followed by an n-channel 1 x 1 mix, costing q*c*k^2 + n*q multiplies per
 output position instead of the dense n*c*k^2.
+
+Eval mode treats weight arrays as immutable.  An eval-mode ResBlock folds its
+norms into cast, pre-lowered kernels once per set of arrays, so a caller
+changes a weight by rebinding its key (as sgd_step, train-mode norms and
+load_checkpoint do), never by writing into the array.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator as op
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,6 +33,9 @@ from .numerics import (
     conv2d_backward_batch,
     conv2d_forward_batch,
     conv_out_size,
+    float_dtype,
+    kernel_matrix,
+    lowered_product,
     resolve_padding,
 )
 from .privacy import perturb, quantize
@@ -301,6 +310,13 @@ class ResBlock(Layer):
     norms out.  With ``input_grad=False`` backward returns None; dense convs
     that read the block's input (conv1 and proj) then skip their input
     gradient.
+
+    An eval-mode pass keeps no cache and runs a memoized fold: each norm's
+    affine a = scale / sqrt(running_var + eps) scales the rows of the kernel
+    before it (a factorized conv's 1 x 1 mix), shift - running_mean * a is
+    that kernel's bias, and each kernel is cast and lowered to its im2col
+    matrix once.  The memo is keyed by the dtype and the identity of every
+    array the fold read, and holds those arrays.
     """
 
     def __init__(self, prefix, in_ch, n, k, stride, q=None, normalize=True, input_grad=True):
@@ -322,15 +338,47 @@ class ResBlock(Layer):
             if in_ch != n or stride != 1 else []
         )
         self.relu = ReLU()
+        self._reads = [(t.buffer, t.key) for t in self.tensors()]
+        self._memo = (None, [], None)  # (dtype, arrays read, folded body and skip)
 
     def tensors(self):
         return self.body.tensors() + self.skip.tensors()
 
     def forward(self, params, buffers, x, train):
+        if not train:
+            dtype = float_dtype(x)
+            arrays = [(buffers if buffer else params)[key] for buffer, key in self._reads]
+            if self._memo[0] is not dtype or any(map(op.is_not, arrays, self._memo[1])):
+                self._memo = (dtype, arrays, self._fold(params, buffers, dtype))
+            body, skip = self._memo[2]
+            y = _run_folded(body, x) + _run_folded(skip, x)
+            return np.maximum(y, 0.0, out=y), None
         y, body_cache = self.body.forward(params, buffers, x, train)
         s, skip_cache = self.skip.forward(params, buffers, x, train)
         out, relu_cache = self.relu.forward(params, buffers, y + s, train)
         return out, (body_cache, skip_cache, relu_cache)
+
+    def _fold(self, params, buffers, dtype):
+        """(body, skip) as lists of lowered_product arguments, None for a ReLU."""
+        paths = []
+        for path in (self.body, self.skip):
+            steps = []  # [kernel, stride, padding, bias] or None
+            for layer in path.layers:
+                if isinstance(layer, ReLU):
+                    steps.append(None)
+                elif isinstance(layer, ChannelNorm):
+                    a = params[layer.kw] / np.sqrt(buffers[layer.kv] + _NORM_EPS)
+                    steps[-1][0] = steps[-1][0] * a[:, None, None, None]
+                    steps[-1][3] = params[layer.kb] - buffers[layer.km] * a
+                elif isinstance(layer, LowRankConv2d):
+                    steps += [[params[layer.key1], layer.stride, layer.padding, None],
+                              [params[layer.key2], 1, 0, None]]
+                else:
+                    steps.append([params[layer.key], layer.stride, layer.padding, None])
+            paths.append([None if s is None else (
+                kernel_matrix(s[0].astype(dtype)), s[0].shape[2], s[1], s[2],
+                None if s[3] is None else s[3].astype(dtype)) for s in steps])
+        return paths
 
     def backward(self, params, cache, gy, grads):
         body_cache, skip_cache, relu_cache = cache
@@ -342,6 +390,12 @@ class ResBlock(Layer):
     def macs(self, in_shape):
         total, shape = self.body.macs(in_shape)
         return total + self.skip.macs(in_shape)[0], shape
+
+
+def _run_folded(steps, x):
+    for step in steps:
+        x = np.maximum(x, 0.0) if step is None else lowered_product(x, *step)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +521,8 @@ class Model:
 
     def forward_res(self, params, buffers, bits, train):
         # the public branch computes in float32, which holds its 0/1 bits
-        # exactly; the weights stay float64 masters, cast down per call, and
-        # sgd_step adds their float32 gradients to float64 weights
+        # exactly; the weights stay float64 masters, cast down per train call
+        # or per eval fold, and sgd_step adds float32 gradients to them
         return self.res.forward(params, buffers, np.asarray(bits, dtype=np.float32), train)
 
     def backward_res(self, params, cache, gz, grads):

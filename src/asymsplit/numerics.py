@@ -16,7 +16,10 @@ functions many times over tiny arrays.  DCT matrices are built once per
 block size, cached, and handed out read-only; the block transforms are
 plain matmuls over a strided block view.  im2col takes its (b, H, W, k, k, c)
 window view straight from the padded NHWC buffer's strides and copies it
-once.
+once.  ``lowered_product`` (im2col, one GEMM against a kernel matrix, an
+optional bias) is the one lowering: ``conv2d_forward_batch`` is its checks
+around it, and a caller that keeps a kernel matrix, such as an eval-mode
+``model.ResBlock``, calls it directly.
 
 A stride-1 input gradient is itself a correlation: grad_out, padded by
 k-1-pad, against the flipped kernel with its channel axes swapped.  It takes
@@ -169,7 +172,7 @@ def conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
-def _float_dtype(x):
+def float_dtype(x):
     """The dtype a convolution computes in: float32 for a float32 array,
     float64 for anything else."""
     return np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
@@ -185,7 +188,7 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     b, c, h, w = x.shape
     out_h = conv_out_size(h, k, stride, pad)
     out_w = conv_out_size(w, k, stride, pad)
-    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=_float_dtype(x))
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=float_dtype(x))
     xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
     # output (y, x) reads the k x k window at padded row y * stride, column x * stride
     sb, sh, sw, sc = xp.strides
@@ -203,7 +206,7 @@ def col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndarr
     out_h = conv_out_size(h, k, stride, pad)
     out_w = conv_out_size(w, k, stride, pad)
     patches = cols.reshape(b, out_h, out_w, k, k, c)
-    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=_float_dtype(cols))
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=float_dtype(cols))
     for i in range(k):
         for j in range(k):
             xp[:, i : i + out_h * stride : stride, j : j + out_w * stride : stride] += patches[
@@ -212,7 +215,7 @@ def col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndarr
     return xp[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
 
 
-def _kernel_matrix(weights: np.ndarray) -> np.ndarray:
+def kernel_matrix(weights: np.ndarray) -> np.ndarray:
     """(n, c, k, k) kernel as the (n, k*k*c) matrix matching im2col's columns."""
     return weights.transpose(0, 2, 3, 1).reshape(weights.shape[0], -1)
 
@@ -228,17 +231,23 @@ def _check_conv_shapes(x: np.ndarray, weights: np.ndarray) -> None:
 
 def conv2d_forward_batch(x, weights, stride: int = 1, padding=0) -> np.ndarray:
     """Convolve a (b, c, h, w) batch with an (n, c, k, k) kernel via im2col."""
-    x = np.asarray(x, dtype=_float_dtype(x))
+    x = np.asarray(x, dtype=float_dtype(x))
     weights = np.asarray(weights, dtype=x.dtype)
     _check_conv_shapes(x, weights)
-    n, c, k, _ = weights.shape
-    pad = resolve_padding(padding, k)
+    k = weights.shape[2]
+    return lowered_product(x, kernel_matrix(weights), k, stride, resolve_padding(padding, k))
+
+
+def lowered_product(x, matrix, k: int, stride: int, pad: int, bias=None) -> np.ndarray:
+    """A (b, c, h, w) batch convolved with a kernel given as its
+    ``kernel_matrix``, plus ``bias`` per output channel when set.  Nothing
+    is checked: the matrix (and bias) should be in x's ``float_dtype``."""
     b, _, h, w = x.shape
-    out_h = conv_out_size(h, k, stride, pad)
-    out_w = conv_out_size(w, k, stride, pad)
-    cols = im2col(x, k, stride, pad)
-    out = cols @ _kernel_matrix(weights).T
-    return out.reshape(b, out_h, out_w, n).transpose(0, 3, 1, 2)
+    out = im2col(x, k, stride, pad) @ matrix.T
+    if bias is not None:
+        out += bias
+    out_h, out_w = conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad)
+    return out.reshape(b, out_h, out_w, -1).transpose(0, 3, 1, 2)
 
 
 def conv2d_backward_batch(grad_out, x, weights, stride: int = 1, padding=0,
@@ -249,7 +258,7 @@ def conv2d_backward_batch(grad_out, x, weights, stride: int = 1, padding=0,
     With ``input_grad=False`` grad_x is None and is never formed, for a conv
     whose input is a leaf of the graph.
     """
-    x = np.asarray(x, dtype=_float_dtype(x))
+    x = np.asarray(x, dtype=float_dtype(x))
     weights = np.asarray(weights, dtype=x.dtype)
     grad_out = np.asarray(grad_out, dtype=x.dtype)
     _check_conv_shapes(x, weights)
@@ -263,13 +272,14 @@ def conv2d_backward_batch(grad_out, x, weights, stride: int = 1, padding=0,
             f"grad_out shape {grad_out.shape} != expected {(b, n, out_h, out_w)}"
         )
     g_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, n)
-    cols = im2col(x, k, stride, pad)
-    grad_w = (g_flat.T @ cols).reshape(n, k, k, c).transpose(0, 3, 1, 2)
+    # x's columns are dropped once grad_w is formed, never held while
+    # grad_out is lowered below: a smaller peak, and less heap regrowth
+    grad_w = (g_flat.T @ im2col(x, k, stride, pad)).reshape(n, k, k, c).transpose(0, 3, 1, 2)
     grad_w = np.ascontiguousarray(grad_w)
     if not input_grad:
         return None, grad_w
     if stride != 1:
-        grad_x = col2im(g_flat @ _kernel_matrix(weights), x.shape, k, stride, pad)
+        grad_x = col2im(g_flat @ kernel_matrix(weights), x.shape, k, stride, pad)
         return grad_x, grad_w
     # stride 1: grad_x is the full correlation of grad_out with the flipped,
     # channel-transposed kernel, at pad k-1-pad; a pad beyond k-1 only
@@ -279,5 +289,4 @@ def conv2d_backward_batch(grad_out, x, weights, stride: int = 1, padding=0,
         grad_out = grad_out[:, :, -full : out_h + full, -full : out_w + full]
         full = 0
     flipped = weights[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, -1)
-    grad_x = im2col(grad_out, k, 1, full) @ flipped.T
-    return grad_x.reshape(b, h, w, c).transpose(0, 3, 1, 2), grad_w
+    return lowered_product(grad_out, flipped, k, 1, full), grad_w

@@ -539,6 +539,86 @@ class TestInferCmd:
             assert self.infer_with_meta(tiny_run, case, edit) == 2, edit.__name__
             assert "the model its spec builds" in capsys.readouterr().err, edit.__name__
 
+    def infer_with_tensors(self, tiny_run, tmp_path, name, edit):
+        """Exit code of ``infer`` on the trained checkpoints with the
+        (params, buffers) of checkpoint ``name`` rewritten by ``edit``."""
+        out, _ = tiny_run
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        for file in ("private.dltp", "public.dltp"):
+            params, buffers, meta = load_checkpoint(out / "ckpt" / file)
+            if file == name:
+                edit(params, buffers)
+            save_checkpoint(ckpt / file, params, buffers, meta)
+        images = tmp_path / "x.npy"
+        np.save(images, np.zeros((1, 3, 16, 16)))
+        return main(["infer", "--ckpt", str(ckpt), "--images", str(images)])
+
+    @pytest.mark.parametrize("name,section,key,value", [
+        ("public.dltp", "params", "res/b0/conv1/w", np.nan),
+        ("public.dltp", "params", "res/fc/b", -np.inf),
+        ("private.dltp", "params", "main/b1/conv2/w2", np.inf),
+        ("private.dltp", "buffers", "main/b0/norm1/running_mean", np.nan),
+        ("public.dltp", "buffers", "res/b1/proj_norm/running_var", np.inf),
+    ])
+    def test_non_finite_tensor_is_data_error(self, tiny_run, tmp_path, capsys,
+                                             name, section, key, value):
+        def edit(params, buffers):
+            tensors = params if section == "params" else buffers
+            tensors[key] = np.full_like(tensors[key], value)
+
+        assert self.infer_with_tensors(tiny_run, tmp_path, name, edit) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert name in captured.err and f"{key!r} has a non-finite entry" in captured.err
+
+    @pytest.mark.parametrize("name", ["private.dltp", "public.dltp"])
+    def test_negative_running_variance_is_data_error(self, tiny_run, tmp_path, capsys, name):
+        def edit(params, buffers):
+            for key in buffers:
+                if key.endswith("/running_var"):
+                    buffers[key] = -np.ones_like(buffers[key])
+
+        assert self.infer_with_tensors(tiny_run, tmp_path, name, edit) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert name in captured.err and "/running_var' has a negative entry" in captured.err
+
+    def test_zero_running_variance_is_accepted(self, tiny_run, tmp_path, capsys):
+        def edit(params, buffers):
+            buffers["main/b0/norm2/running_var"] = np.zeros(12)
+
+        assert self.infer_with_tensors(tiny_run, tmp_path, "private.dltp", edit) == 0
+        assert len(capsys.readouterr().out.split()) == 1
+
+    @pytest.mark.parametrize("images", [
+        np.zeros((1, 3, 16, 16), dtype=np.complex128),
+        np.zeros((1, 3, 16, 16), dtype=[("x", "f8")]),
+        np.full((1, 3, 16, 16), "0"),
+        np.full((2, 3, 16, 16), np.nan),
+        np.where(np.arange(768).reshape(1, 3, 16, 16) == 100, np.inf, 0.5),
+        np.full((3, 16, 16), -np.inf, dtype=np.float16),
+        pytest.param(np.full((1, 3, 16, 16), np.finfo(np.longdouble).max),
+                     marks=pytest.mark.skipif(np.finfo(np.longdouble).max == np.finfo(float).max,
+                                              reason="long double is double here")),
+    ], ids=["complex", "structured", "str", "nan", "one-inf", "f16-inf", "longdouble-max"])
+    def test_images_not_finite_reals_are_data_error(self, tiny_run, tmp_path, capsys, images):
+        out, _ = tiny_run
+        path = tmp_path / "x.npy"
+        np.save(path, images)
+        assert main(["infer", "--ckpt", str(out / "ckpt"), "--images", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int32, np.float32, np.float64])
+    def test_real_image_dtypes_are_accepted(self, tiny_run, tmp_path, capsys, dtype):
+        out, _ = tiny_run
+        path = tmp_path / "x.npy"
+        np.save(path, np.ones((2, 3, 16, 16), dtype=dtype))
+        assert main(["infer", "--ckpt", str(out / "ckpt"), "--images", str(path)]) == 0
+        assert len(capsys.readouterr().out.split()) == 2
+
     def test_missing_checkpoint_is_usage_error(self, tmp_path, capsys):
         images = tmp_path / "x.npy"
         np.save(images, np.zeros((1, 3, 16, 16)))

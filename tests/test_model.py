@@ -28,6 +28,7 @@ from asymsplit.model import (
     softmax,
 )
 from asymsplit.numerics import conv2d_forward_batch
+from asymsplit.training import SgdState, TrainConfig, sgd_step
 
 
 def conv2d_forward(x, w, stride=1, padding=0):
@@ -434,6 +435,164 @@ class TestLeafInputGradients:
         assert grads_leaf.keys() == grads_full.keys()
         for key in grads_full:
             assert grads_leaf[key].tobytes() == grads_full[key].tobytes(), key
+
+
+def randomize_norms(rng, params, buffers):
+    """Non-trivial affines and running statistics for every norm."""
+    for key in params:
+        if key.endswith(("/scale", "/shift")):
+            params[key] = rng.normal(size=params[key].shape) + key.endswith("/scale")
+    for key in buffers:
+        buffers[key] = (rng.uniform(0.2, 3.0, size=buffers[key].shape)
+                        if key.endswith("/running_var") else rng.normal(size=buffers[key].shape))
+
+
+def unfolded_block(block, params, buffers, x):
+    """A block's eval pass by its definition: relu(body(x) + skip(x)) through
+    the Sequentials, each norm its own eval-mode ChannelNorm."""
+    y, _ = block.body.forward(params, buffers, x, False)
+    s, _ = block.skip.forward(params, buffers, x, False)
+    return np.maximum(y + s, 0.0)
+
+
+def unfolded_branch(branch, params, buffers, x):
+    for layer in branch.layers:
+        if isinstance(layer, ResBlock):
+            x = unfolded_block(layer, params, buffers, x)
+        else:
+            x, _ = layer.forward(params, buffers, x, False)
+    return x
+
+
+class TestEvalFold:
+    """An eval-mode ResBlock runs its norms folded into pre-lowered kernels."""
+
+    CASES = (
+        (dict(prefix="f", in_ch=3, n=6, k=3, stride=2, q=2), (2, 3, 8, 8)),  # projection skip
+        (dict(prefix="d", in_ch=4, n=4, k=3, stride=1), (2, 4, 6, 6)),  # identity skip
+    )
+
+    def blocks(self, seed, normalize=True):
+        rng = np.random.default_rng(seed)
+        for kwargs, x_shape in self.CASES:
+            block = ResBlock(**kwargs, normalize=normalize)
+            params, buffers = {}, {}
+            block.init(rng, params, buffers)
+            randomize_norms(rng, params, buffers)
+            yield block, params, buffers, rng.normal(size=x_shape)
+
+    def test_fold_matches_definition(self):
+        for block, params, buffers, x in self.blocks(31):
+            y, cache = block.forward(params, buffers, x, False)
+            want = unfolded_block(block, params, buffers, x)
+            assert cache is None and y.dtype == np.float64
+            assert np.max(np.abs(y - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), block.prefix
+
+    def test_float32_residual_branch_matches_definition(self):
+        model = Model(default_spec(r=2))
+        params, buffers = model.init(4)
+        rng = np.random.default_rng(4)
+        randomize_norms(rng, params, buffers)
+        bits = rng.integers(0, 2, size=(3, 8, 16, 16)).astype(np.uint8)
+        z, _ = model.forward_res(params, buffers, bits, False)
+        z32 = unfolded_branch(model.res, params, buffers, bits.astype(np.float32))
+        z64 = unfolded_branch(model.res, params, buffers, bits.astype(np.float64))
+        # the fold rounds to float32 once where the unfolded pass rounds per layer
+        assert rel_gap(z, z64) <= 1e-5 and rel_gap(z32, z64) <= 1e-5
+
+    def test_unnormalized_blocks_unchanged_bitwise(self):
+        for block, params, buffers, x in self.blocks(32, normalize=False):
+            for dtype in (np.float64, np.float32):
+                xd = x.astype(dtype)
+                y, _ = block.forward(params, buffers, xd, False)
+                want = unfolded_block(block, params, buffers, xd)
+                assert y.dtype == want.dtype == dtype
+                assert y.tobytes() == want.tobytes(), (block.prefix, dtype)
+
+    def test_train_mode_untouched(self, monkeypatch):
+        monkeypatch.setattr(ResBlock, "_fold", lambda *a: pytest.fail("train mode folded"))
+        for block, params, buffers, x in self.blocks(33):
+            bufs_a, bufs_b = dict(buffers), dict(buffers)
+            y, cache = block.forward(params, bufs_a, x, True)
+            body, _ = block.body.forward(params, bufs_b, x, True)
+            skip, _ = block.skip.forward(params, bufs_b, x, True)
+            assert y.tobytes() == np.maximum(body + skip, 0.0).tobytes()
+            assert len(cache) == 3
+            for key in buffers:
+                assert bufs_a[key].tobytes() == bufs_b[key].tobytes(), key
+
+
+class TestFoldMemo:
+    """The folded form is rebuilt whenever an array it read is rebound."""
+
+    def make(self, seed=41):
+        model = Model(default_spec(r=2))
+        params, buffers = model.init(seed)
+        rng = np.random.default_rng(seed)
+        randomize_norms(rng, params, buffers)
+        x = rng.normal(size=(2, 8, 4, 4))
+        return model, params, buffers, x, rng
+
+    def assert_current(self, model, params, buffers, x):
+        z, _ = model.forward_main(params, buffers, x, False)
+        want = unfolded_branch(model.main, params, buffers, x)
+        np.testing.assert_allclose(z, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        return z
+
+    @pytest.mark.parametrize("key", ["main/b0/conv1/w1", "main/b1/conv2/w2", "main/b0/proj/w",
+                                     "main/b1/norm1/scale", "main/b0/proj_norm/shift",
+                                     "main/b0/norm2/running_var", "main/b1/norm2/running_mean"])
+    def test_rebinding_refolds(self, key):
+        model, params, buffers, x, rng = self.make()
+        before = self.assert_current(model, params, buffers, x)
+        if key in params:
+            step = {key: rng.normal(size=params[key].shape)}
+            sgd_step(params, step, TrainConfig(), SgdState(), lr=0.5)
+        else:
+            buffers[key] = buffers[key] * 1.5 + 0.25  # rebound like a train-mode norm
+        after = self.assert_current(model, params, buffers, x)
+        assert np.max(np.abs(after - before)) > 1e-6
+
+    def test_train_mode_statistics_reach_the_next_eval(self):
+        model, params, buffers, x, _ = self.make()
+        self.assert_current(model, params, buffers, x)
+        old = {key: value for key, value in buffers.items() if key.startswith("main/")}
+        model.forward_main(params, buffers, 3.0 * x + 1.0, True)
+        assert old and all(buffers[key] is not old[key] for key in old)
+        self.assert_current(model, params, buffers, x)
+
+    def test_alternating_parameter_sets(self):
+        model, params_a, buffers_a, x, _ = self.make(41)
+        _, params_b, buffers_b, _, _ = self.make(42)
+        bits = np.random.default_rng(5).integers(0, 2, size=(2, 8, 16, 16))
+        fresh = {}
+        for name, p, b in (("a", params_a, buffers_a), ("b", params_b, buffers_b)):
+            other = Model(model.spec)
+            fresh[name] = (other.forward_main(p, b, x, False)[0],
+                           other.forward_res(p, b, bits, False)[0])
+        for name, p, b in [("a", params_a, buffers_a), ("b", params_b, buffers_b)] * 2:
+            z_main = self.assert_current(model, p, b, x)
+            z_res, _ = model.forward_res(p, b, bits, False)
+            assert z_main.tobytes() == fresh[name][0].tobytes(), name
+            assert z_res.tobytes() == fresh[name][1].tobytes(), name
+
+    def test_repeat_call_builds_nothing(self, monkeypatch):
+        model, params, buffers, x, _ = self.make()
+        counts = {"fold": 0, "norm": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ResBlock, "_fold", counted("fold", ResBlock._fold))
+        monkeypatch.setattr(ChannelNorm, "forward", counted("norm", ChannelNorm.forward))
+        first, _ = model.forward_main(params, buffers, x, False)
+        assert counts == {"fold": 2, "norm": 0}
+        again, _ = model.forward_main(dict(params), dict(buffers), x.copy(), False)
+        assert counts == {"fold": 2, "norm": 0}
+        assert again.tobytes() == first.tobytes()
 
 
 class TestModelSpec:

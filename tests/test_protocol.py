@@ -708,6 +708,39 @@ class TestSplitInference:
             )
             assert preds[i] == pred
 
+    @pytest.mark.parametrize("sigma", [0.0, 3.294])  # none, and the acceptance bench's
+    def test_logits_equal_monolithic_forward_bitwise(self, trained, monkeypatch, sigma):
+        # z_main as the private side keeps it and z_res as it arrives over
+        # the wire equal forward_full's on the same image, stream and sigma
+        data, model, private, public, _ = trained
+        xs = data.val_x[:8]
+        seen_main, seen_res = [], []
+        parts = private.inference_parts
+
+        def record_parts(x, stream, s):
+            bits, z_main = parts(x, stream, s)
+            seen_main.append(z_main)
+            return bits, z_main
+
+        def record_rows(frame):
+            seen_res.append(rows_from_frame(frame)[0])
+            return seen_res[-1][None]
+
+        monkeypatch.setattr(private, "inference_parts", record_parts)
+        monkeypatch.setattr(protocol, "rows_from_frame", record_rows)
+        run_split_inference(private, public, xs, sigma=sigma)
+        assert len(seen_main) == len(seen_res) == len(xs)
+
+        merged_params = {**private.params, **public.params}
+        merged_buffers = {**private.buffers, **public.buffers}
+        for i, x in enumerate(xs):
+            z_main, z_res, _ = forward_full(
+                model, merged_params, merged_buffers, x, DCFG, sigma=sigma,
+                seed=private.cfg.seed, stream=VAL_STREAM_BASE + i,
+            )
+            assert z_main.tobytes() == seen_main[i].tobytes(), i
+            assert z_res.tobytes() == seen_res[i].tobytes(), i
+
     def test_batched_main_accuracy_matches_per_sample(self, trained):
         # the batched main-head score equals scoring each request's z_main
         data, model, private, _, _ = trained
