@@ -14,6 +14,7 @@ config and seed; the only timestamp lives in the first line of
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -35,6 +36,7 @@ from .model import (
 )
 from .privacy import calibrate
 from .protocol import (
+    MemoryChannel,
     PrivateEndpoint,
     ProtocolViolation,
     PublicEndpoint,
@@ -317,21 +319,23 @@ def cmd_train(args) -> int:
 
     model = Model(model_spec(cfg, data))
     params, buffers = model.init(tcfg.seed)
-    channel = SocketChannel() if cfg["protocol.mode"] == "socket" else None
-    report, wire, private, public = run_split_training(
-        model, params, buffers, data, dcfg, tcfg, channel=channel
-    )
+    channel = SocketChannel() if cfg["protocol.mode"] == "socket" else MemoryChannel()
+    # closed however the run ends, a refused or diverged one too
+    with contextlib.closing(channel):
+        report, wire, private, public = run_split_training(
+            model, params, buffers, data, dcfg, tcfg, channel=channel
+        )
 
-    # validation pass: merged over the wire, main-only stays private; with
-    # no stage 2 there is no trained residual branch and the wire stays silent
-    val_main = evaluate_main(
-        model, private.params, private.buffers, data.val_x, data.val_y, dcfg, tcfg
-    )
-    if tcfg.ep2 > 0:
-        merged_preds = run_split_inference(private, public, data.val_x, sigma=report.sigma)
-        val_merged = float(np.mean(merged_preds == data.val_y))
-    else:
-        val_merged = None
+        # validation pass: merged over the wire, main-only stays private; with
+        # no stage 2 there is no trained residual branch and the wire stays silent
+        val_main = evaluate_main(
+            model, private.params, private.buffers, data.val_x, data.val_y, dcfg, tcfg
+        )
+        if tcfg.ep2 > 0:
+            merged_preds = run_split_inference(private, public, data.val_x, sigma=report.sigma)
+            val_merged = float(np.mean(merged_preds == data.val_y))
+        else:
+            val_merged = None
 
     audit_report = audit(wire.transcript)
     if not audit_report.passed:

@@ -200,7 +200,9 @@ def decompose_batch(xs, cfg: DecompositionConfig):
     res = ir_main.reshape(b, c, -1) @ k
     np.subtract(xs.reshape(b, c, -1), res, out=res)
 
-    norms = np.linalg.norm(res.reshape(b, -1), axis=1)
+    # one reduction, with no squared (b, c*h*w) temporary
+    flat = res.reshape(b, -1)
+    norms = np.sqrt(np.einsum("bi,bi->b", flat, flat))
     res /= np.maximum(1.0, norms / cfg.C)[:, None, None]
     return ir_main, res.reshape(xs.shape)
 

@@ -12,15 +12,18 @@ followed by an n-channel 1 x 1 mix, costing q*c*k^2 + n*q multiplies per
 output position instead of the dense n*c*k^2.
 
 Eval mode treats weight arrays as immutable.  An eval-mode ResBlock folds its
-norms into cast, pre-lowered kernels once per set of arrays, so a caller
-changes a weight by rebinding its key (as sgd_step, train-mode norms and
-load_checkpoint do), never by writing into the array.
+norms into cast, pre-lowered kernels once per set of arrays and input shape,
+so a caller changes a weight by rebinding its key (as sgd_step, train-mode
+norms and load_checkpoint do), never by writing into the array.  A
+normalized block on a small map (DENSE_MAX_INPUT) folds on into dense
+matrices; an unnormalized one stays lowered, bitwise its unfolded pass.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator as op
 import struct
 from dataclasses import dataclass
@@ -43,6 +46,9 @@ from .privacy import perturb, quantize
 CHECKPOINT_MAGIC = b"DLTP"
 _NORM_EPS = 1e-5
 _NORM_MOMENTUM = 0.1
+# most values per sample an eval-mode block's linear segment may read to run
+# dense; the identity batch probing its matrix holds this many squared
+DENSE_MAX_INPUT = 512
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +321,19 @@ class ResBlock(Layer):
     affine a = scale / sqrt(running_var + eps) scales the rows of the kernel
     before it (a factorized conv's 1 x 1 mix), shift - running_mean * a is
     that kernel's bias, and each kernel is cast and lowered to its im2col
-    matrix once.  The memo is keyed by the dtype and the identity of every
-    array the fold read, and holds those arrays.
+    matrix once.  The memo is keyed by the dtype, the (c, h, w) input shape
+    and the identity of every array the fold read, and holds those arrays.
+
+    When each linear segment (conv1, conv2, the projection) reads at most
+    DENSE_MAX_INPUT values, each becomes one dense matrix on the flattened
+    map, probed through its lowered steps: relu(relu(x A1 + a1) A2 + a2 +
+    x P + p), or + x for an identity skip.  Unless normalize=False: that
+    fold is bitwise the unfolded pass, and a matrix would reassociate sums.
     """
 
     def __init__(self, prefix, in_ch, n, k, stride, q=None, normalize=True, input_grad=True):
         self.prefix = prefix
-        self.input_grad = input_grad
+        self.input_grad, self.normalize = input_grad, normalize
 
         def conv(name, cin, s, ig=True):
             if q is None or k == 1:
@@ -339,17 +351,17 @@ class ResBlock(Layer):
         )
         self.relu = ReLU()
         self._reads = [(t.buffer, t.key) for t in self.tensors()]
-        self._memo = (None, [], None)  # (dtype, arrays read, folded body and skip)
+        self._memo = (None, [], None)  # ((dtype, shape), arrays read, folded body and skip)
 
     def tensors(self):
         return self.body.tensors() + self.skip.tensors()
 
     def forward(self, params, buffers, x, train):
         if not train:
-            dtype = float_dtype(x)
+            form = (float_dtype(x), x.shape[1:])
             arrays = [(buffers if buffer else params)[key] for buffer, key in self._reads]
-            if self._memo[0] is not dtype or any(map(op.is_not, arrays, self._memo[1])):
-                self._memo = (dtype, arrays, self._fold(params, buffers, dtype))
+            if self._memo[0] != form or any(map(op.is_not, arrays, self._memo[1])):
+                self._memo = (form, arrays, self._fold(params, buffers, *form))
             body, skip = self._memo[2]
             y = _run_folded(body, x) + _run_folded(skip, x)
             return np.maximum(y, 0.0, out=y), None
@@ -358,8 +370,10 @@ class ResBlock(Layer):
         out, relu_cache = self.relu.forward(params, buffers, y + s, train)
         return out, (body_cache, skip_cache, relu_cache)
 
-    def _fold(self, params, buffers, dtype):
-        """(body, skip) as lists of lowered_product arguments, None for a ReLU."""
+    def _fold(self, params, buffers, dtype, shape):
+        """(body, skip) as lists of steps on (c, h, w) inputs, None for a
+        ReLU: lowered_product arguments, or one dense (matrix, bias, output
+        shape) per linear segment of a small normalized block."""
         paths = []
         for path in (self.body, self.skip):
             steps = []  # [kernel, stride, padding, bias] or None
@@ -378,7 +392,13 @@ class ResBlock(Layer):
             paths.append([None if s is None else (
                 kernel_matrix(s[0].astype(dtype)), s[0].shape[2], s[1], s[2],
                 None if s[3] is None else s[3].astype(dtype)) for s in steps])
-        return paths
+        mid = self.body.layers[0].macs(shape)[1]
+        if not self.normalize or max(math.prod(shape), math.prod(mid)) > DENSE_MAX_INPUT:
+            return paths
+        body, skip = paths
+        cut = body.index(None)
+        return ([_dense(body[:cut], shape), None, _dense(body[cut + 1:], mid)],
+                [_dense(skip, shape)] if skip else [])
 
     def backward(self, params, cache, gy, grads):
         body_cache, skip_cache, relu_cache = cache
@@ -392,9 +412,28 @@ class ResBlock(Layer):
         return total + self.skip.macs(in_shape)[0], shape
 
 
+def _dense(steps, shape):
+    """A linear segment of lowered_product steps as (matrix, bias, output
+    shape) on flattened (c, h, w) inputs: an identity batch through the
+    steps without their biases gives the matrix, a zero input with them the
+    bias."""
+    m = math.prod(shape)
+    dtype = steps[0][0].dtype
+    probe, zero = np.eye(m, dtype=dtype).reshape(m, *shape), np.zeros((1, *shape), dtype)
+    for matrix, k, stride, pad, bias in steps:
+        probe = lowered_product(probe, matrix, k, stride, pad)
+        zero = lowered_product(zero, matrix, k, stride, pad, bias)
+    return probe.reshape(m, -1), zero.reshape(-1), probe.shape[1:]
+
+
 def _run_folded(steps, x):
     for step in steps:
-        x = np.maximum(x, 0.0) if step is None else lowered_product(x, *step)
+        if step is None:
+            x = np.maximum(x, 0.0)
+        elif len(step) == 3:  # dense (matrix, bias, output shape)
+            x = (x.reshape(len(x), -1) @ step[0] + step[1]).reshape(len(x), *step[2])
+        else:
+            x = lowered_product(x, *step)
     return x
 
 

@@ -23,8 +23,10 @@ key and counter alone, so each row gets the draws of a fresh
 ``noise_stream(seed, id)`` without the OS-entropy seeding a new instance
 costs, and ``sigma * standard_normal`` equals ``normal(0, sigma)`` bit for
 bit: the released bits are unchanged.  ``build_cache`` runs it a block at
-a time, ``perturb`` on one sample.  No threads: two threads drawing
-Philox normals on two cores were no faster than one.
+a time, ``perturb`` on one sample, with the caller's ``gen`` if given (a
+new Philox seeds an OS-entropy SeedSequence first, costly per request).
+No threads: two threads drawing Philox normals on two cores were no
+faster than one.
 """
 
 from __future__ import annotations
@@ -142,10 +144,12 @@ def add_noise(out: np.ndarray, block: np.ndarray, sigma: float, seed: int, ids,
     return out
 
 
-def perturb(ir_res, sigma: float, seed: int, stream: int = 0) -> np.ndarray:
-    """Add i.i.d. Gaussian(0, sigma^2) noise from the (seed, stream) key."""
+def perturb(ir_res, sigma: float, seed: int, stream: int = 0,
+            gen: np.random.Generator | None = None) -> np.ndarray:
+    """Add i.i.d. Gaussian(0, sigma^2) noise from the (seed, stream) key;
+    ``gen``, a Philox generator of any key, is re-keyed and used if given."""
     x = as_tensor3(ir_res)
-    return add_noise(np.empty((1, *x.shape)), x[None], sigma, seed, [stream])[0]
+    return add_noise(np.empty((1, *x.shape)), x[None], sigma, seed, [stream], gen)[0]
 
 
 def quantize(ir_noisy) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 # protocol.decompose_batch (perfbench/tests/test_perfbench.py::TestInstall)
 from .decompose import DecompositionConfig, decompose_batch  # noqa: F401
 from .model import Model, private_forward
-from .privacy import build_cache, perturb, quantize
+from .privacy import build_cache, noise_stream, perturb, quantize
 from .training import (
     SgdState,
     Stage2Private,
@@ -243,7 +243,7 @@ class SocketChannel:
 # Transcript and audit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscriptEntry:
     index: int
     direction: str  # "private->public" or "public->private"
@@ -371,11 +371,13 @@ class PrivateEndpoint:
                  cfg: TrainConfig, wire: Wire):
         self.model, self.params, self.buffers = model, params, buffers
         self.dcfg, self.cfg, self.wire = dcfg, cfg, wire
+        # one generator for every request: perturb re-keys it, so any key will do
+        self.noise = noise_stream(0, 0)
 
     def inference_parts(self, x, stream: int, sigma: float):
         """One private pass: the residual bits to ship and z_main to keep."""
         z_main, ir_res = private_forward(self.model, self.params, self.buffers, x[None], self.dcfg)
-        bits = quantize(perturb(ir_res[0], sigma, self.cfg.seed, stream))
+        bits = quantize(perturb(ir_res[0], sigma, self.cfg.seed, stream, gen=self.noise))
         return bits, z_main[0]
 
 

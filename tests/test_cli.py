@@ -21,6 +21,7 @@ from asymsplit.cli import (
 from asymsplit.datasets import class_means, synthetic_dataset
 from asymsplit.decompose import spectrum
 from asymsplit.privacy import calibrate
+from asymsplit.protocol import SocketChannel
 
 
 def resolve(argv):
@@ -338,6 +339,18 @@ class TestTrainCmd:
         assert main(argv2) == 0
         assert (out / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out / "transcript.csv").read_bytes() == (out2 / "transcript.csv").read_bytes()
+
+    def test_socket_channel_closed_once(self, tmp_path, monkeypatch, capsys):
+        closed = []
+        close = SocketChannel.close
+        monkeypatch.setattr(SocketChannel, "close", lambda ch: closed.append(ch) or close(ch))
+        argv = ["train", "--data.n", "48", "--train.ep1", "1", "--train.ep2", "1",
+                "--train.batch_size", "16", "--protocol.mode", "socket"]
+        assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+        assert len(closed) == 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv + ["--train.lr", "inf", "--out", str(tmp_path / "bad")]) == 4
+        assert len(closed) == 2 and closed[0] is not closed[1]
 
     def test_stage1_only_run_has_silent_wire(self, tmp_path, capsys):
         out = tmp_path / "runZ"

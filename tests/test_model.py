@@ -1,10 +1,14 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from asymsplit import model as model_mod
+from asymsplit.datasets import synthetic_dataset
 from asymsplit.decompose import DecompositionConfig
 from asymsplit.model import (
+    DENSE_MAX_INPUT,
     BlockSpec,
     ChannelNorm,
     Conv2d,
@@ -593,6 +597,81 @@ class TestFoldMemo:
         again, _ = model.forward_main(dict(params), dict(buffers), x.copy(), False)
         assert counts == {"fold": 2, "norm": 0}
         assert again.tobytes() == first.tobytes()
+
+
+def spy_dense(monkeypatch):
+    """The (block prefix, probed input size) of every dense segment built."""
+    probes, folding = [], []
+    fold, dense = ResBlock._fold, model_mod._dense
+
+    def spied_fold(self, *args):
+        folding.append(self.prefix)
+        try:
+            return fold(self, *args)
+        finally:
+            folding.pop()
+
+    def spied_dense(steps, shape):
+        probes.append((folding[-1], math.prod(shape)))
+        return dense(steps, shape)
+
+    monkeypatch.setattr(ResBlock, "_fold", spied_fold)
+    monkeypatch.setattr(model_mod, "_dense", spied_dense)
+    return probes
+
+
+def assert_close(y, want):
+    assert y.shape == want.shape
+    assert np.max(np.abs(y - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+class TestDenseFold:
+    """A normalized eval-mode block on a small map runs as dense matrices
+    probed from its lowered fold; a large map or an unnormalized block
+    stays lowered."""
+
+    def test_main_branch_matches_definition(self, monkeypatch):
+        model = Model(default_spec(r=4))
+        params, buffers = model.init(51)
+        rng = np.random.default_rng(51)
+        randomize_norms(rng, params, buffers)
+        probes = spy_dense(monkeypatch)
+        for b in (1, 128):
+            x = rng.normal(size=(b, 8, 4, 4))
+            z, _ = model.forward_main(params, buffers, x, False)
+            assert_close(z, unfolded_branch(model.main, params, buffers, x))
+        # conv1, conv2 and the projection of each block, built once for both batches
+        assert probes == [("main/b0", 128), ("main/b0", 48), ("main/b0", 128),
+                          ("main/b1", 48), ("main/b1", 24), ("main/b1", 48)]
+
+    def test_shape_change_refolds(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        block = ResBlock("s", 8, 12, 3, 2, q=4)
+        params, buffers = {}, {}
+        block.init(rng, params, buffers)
+        randomize_norms(rng, params, buffers)
+        probes = spy_dense(monkeypatch)
+        folds = []
+        fold = ResBlock._fold
+        monkeypatch.setattr(ResBlock, "_fold", lambda *a: folds.append(1) or fold(*a))
+        for n, shape in enumerate([(8, 4, 4), (8, 8, 8), (8, 4, 4), (8, 16, 16)], 1):
+            x = rng.normal(size=(2, *shape))
+            y, _ = block.forward(params, buffers, x, False)
+            assert_close(y, unfolded_block(block, params, buffers, x))
+            again, _ = block.forward(params, buffers, x.copy(), False)
+            assert again.tobytes() == y.tobytes() and len(folds) == n, shape
+        # the (8, 16, 16) map reads 2048 values and stays lowered
+        assert [size for _, size in probes] == [128, 48, 128, 512, 192, 512, 128, 48, 128]
+
+    def test_bench_shapes_keep_residual_branch_lowered(self, monkeypatch):
+        model = Model(default_spec(r=4))
+        params, buffers = model.init(53)
+        probes = spy_dense(monkeypatch)
+        x = synthetic_dataset(n=64, seed=53).val_x[0]
+        forward_full(model, params, buffers, x, DecompositionConfig(r=4, t=8, t_prime=2, C=1.0),
+                     sigma=1.0, seed=53)
+        assert {prefix for prefix, _ in probes} == {"main/b0", "main/b1"}
+        assert max(size for _, size in probes) <= DENSE_MAX_INPUT
 
 
 class TestModelSpec:

@@ -19,9 +19,11 @@ from asymsplit.model import (
     default_spec,
     forward_full,
     load_checkpoint,
+    private_forward,
     save_checkpoint,
     softmax,
 )
+from asymsplit.privacy import perturb, quantize
 from asymsplit.protocol import (
     Frame,
     FrameKind,
@@ -46,6 +48,7 @@ from asymsplit.training import (
     TrainConfig,
     TrainingDiverged,
     batch_schedule,
+    evaluate,
     evaluate_main,
 )
 
@@ -538,9 +541,13 @@ class TestSplitTraining:
             model, params, buffers, data, DCFG, cfg
         )
         data2, model2, params2, buffers2, cfg2 = tiny_setup(n=32, ep2=1)
-        _, _, private_b, public_b = run_split_training(
-            model2, params2, buffers2, data2, DCFG, cfg2, channel=SocketChannel()
-        )
+        channel = SocketChannel()
+        try:
+            _, _, private_b, public_b = run_split_training(
+                model2, params2, buffers2, data2, DCFG, cfg2, channel=channel
+            )
+        finally:
+            channel.close()
         for key in private_a.params:
             assert private_a.params[key].tobytes() == private_b.params[key].tobytes()
         for key in public_a.params:
@@ -740,6 +747,38 @@ class TestSplitInference:
             )
             assert z_main.tobytes() == seen_main[i].tobytes(), i
             assert z_res.tobytes() == seen_res[i].tobytes(), i
+
+    def test_endpoint_noise_matches_fresh_generator(self, trained):
+        # the endpoint's one generator, re-keyed per request, draws what a
+        # fresh one would, in any order and with a batched evaluate between
+        data, model, private, public, _ = trained
+        x = data.val_x[0]
+        _, ir_res = private_forward(model, private.params, private.buffers, x[None], DCFG)
+        cases = [(stream, sigma) for sigma in (0.0, 3.294)
+                 for stream in (0, VAL_STREAM_BASE + 7, 2**64 - 1)]
+        for n, (stream, sigma) in enumerate(cases[::2] + cases[1::2] + cases[::-1]):
+            bits, _ = private.inference_parts(x, stream, sigma)
+            want = quantize(perturb(ir_res[0], sigma, private.cfg.seed, stream))
+            assert bits.tobytes() == want.tobytes(), (stream, sigma)
+            if n == 4:
+                merged = ({**private.params, **public.params},
+                          {**private.buffers, **public.buffers})
+                evaluate(model, *merged, data.val_x[:4], data.val_y[:4], DCFG, private.cfg, 3.294)
+
+    def test_requests_build_no_generator(self, trained, monkeypatch):
+        data, model, private, public, _ = trained
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(1) or philox(*a, **k))
+        run_split_inference(private, public, data.val_x[:4], sigma=3.294)
+        assert built == []
+        PrivateEndpoint(model, private.params, private.buffers, DCFG, private.cfg, private.wire)
+        assert built == [1]
+
+    def test_only_the_private_endpoint_holds_a_generator(self, trained):
+        _, _, private, public, _ = trained
+        assert any(isinstance(v, np.random.Generator) for v in vars(private).values())
+        assert not any(isinstance(v, np.random.Generator) for v in vars(public).values())
 
     def test_batched_main_accuracy_matches_per_sample(self, trained):
         # the batched main-head score equals scoring each request's z_main
