@@ -10,12 +10,7 @@ auditing.
 """
 
 from .datasets import Dataset, load_idx_dataset, synthetic_dataset
-from .decompose import (
-    DecompositionConfig,
-    decompose,
-    decompose_batch,
-    spectrum,
-)
+from .decompose import DecompositionConfig, decompose_batch, spectrum
 from .model import Model, ModelSpec, count_macs, default_spec, forward_full
 from .privacy import (
     PrivacyParams,
@@ -66,7 +61,6 @@ __all__ = [
     "calibrate",
     "count_macs",
     "decode_frame",
-    "decompose",
     "decompose_batch",
     "default_spec",
     "encode_frame",

@@ -144,6 +144,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise UsageError(f"data.kind must be synthetic or idx, got {cfg['data.kind']!r}")
     if cfg["protocol.mode"] not in ("memory", "socket"):
         raise UsageError(f"protocol.mode must be memory or socket, got {cfg['protocol.mode']!r}")
+    if cfg["spectrum.samples"] < 1:
+        raise UsageError(f"spectrum.samples must be >= 1, got {cfg['spectrum.samples']}")
     if cfg["data.kind"] == "idx":
         for key in _PATH_KEYS:
             if not cfg[key]:

@@ -6,13 +6,14 @@ full-resolution residual carrying everything the main part discards.  The
 residual is l2-clipped so that downstream noise calibration can treat its
 norm as a fixed sensitivity bound.
 
-The batched splits see the spatial low pass -- keep the t' x t' DCT
-corner of every t-block, invert it at t' -- as one cached (h'w', hw)
-operator K.  With U the top-r channel basis of a sample X flattened to
-(c, hw), ir_main = U U^T X K^T, the unclipped residual is X - ir_main K,
-and the adjoint for a gradient G on ir_main is U U^T G K: a few
-per-sample matmuls each.  The per-sample SVD :func:`decompose`, which runs
-the block DCT itself, is the oracle the tests pin them against.
+The splits see the spatial low pass -- keep the t' x t' DCT corner of
+every t-block, invert it at t' -- as one cached (h'w', hw) operator K.
+With U the top-r channel basis of a sample X flattened to (c, hw),
+ir_main = U U^T X K^T, the unclipped residual is X - ir_main K, and the
+adjoint for a gradient G on ir_main is U U^T G K: a few per-sample
+matmuls each.  :func:`spectrum` reads the error of each axis alone from
+two energy spectra of X, its singular values and the energy at each
+frequency of its t-blocks, and builds no K.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SvdFactors, as_tensor3, dct_block_forward, dct_matrix, idct_block, svd
+from .numerics import as_tensor3, dct_matrix
 
 
 @dataclass(frozen=True)
@@ -67,72 +68,6 @@ class DecompositionConfig:
         return (c, (h // self.t) * self.t_prime, (w // self.t) * self.t_prime)
 
 
-@dataclass
-class DecompositionOutput:
-    ir_main: np.ndarray     # c x (h/t)t' x (w/t)t'
-    ir_res_raw: np.ndarray  # c x h x w, unclipped
-    ir_res: np.ndarray      # c x h x w, l2 norm <= C
-    factors: SvdFactors     # channel-flattened SVD of the input
-    dct_coeffs: np.ndarray  # r x h x w blockwise coefficients of the principal channels
-
-
-def _lowfreq_mask(h: int, w: int, t: int, t_prime: int) -> np.ndarray:
-    """Boolean (h, w) mask of the top-left t' x t' corner of every t-block."""
-    rows = (np.arange(h) % t) < t_prime
-    cols = (np.arange(w) % t) < t_prime
-    return rows[:, None] & cols[None, :]
-
-
-def normalize_residual(ir_res_raw, C: float) -> np.ndarray:
-    """Scale the residual into the l2 ball of radius C: x / max(1, |x|/C)."""
-    if not (np.isfinite(C) and C > 0):
-        raise ValueError(f"C must be positive and finite, got {C}")
-    x = np.asarray(ir_res_raw, dtype=np.float64)
-    norm = float(np.linalg.norm(x))
-    return x / max(1.0, norm / C)
-
-
-def decompose(x, cfg: DecompositionConfig) -> DecompositionOutput:
-    """Split x into the rank-r low-frequency main part and the residual.
-
-    The channel-flattened (c, h*w) matrix is factored by SVD; the top-r
-    right singular vectors are the principal channels.  Each is pushed
-    through a blockwise DCT, and only the t' x t' low-frequency corner of
-    every t-block survives into ir_main (inverted at reduced resolution).
-    The residual collects the trailing singular directions plus the
-    discarded high-frequency content of the principal channels, both at
-    full resolution, so that the split is exactly additive.
-    """
-    x = as_tensor3(x)
-    cfg.check_shape(x.shape)
-    c, h, w = x.shape
-    t, tp = cfg.t, cfg.t_prime
-
-    factors = svd(x.reshape(c, h * w))
-    u, s, vt = factors.left_vectors, factors.singular_values, factors.right_vectors
-    r = min(cfg.r, s.size)
-
-    principal = vt[:r].reshape(r, h, w)
-    coeffs = dct_block_forward(principal, t)
-    v_lf = idct_block(coeffs, t, tp)
-    scaled_u = u[:, :r] * s[:r]
-    ir_main = np.einsum("ci,i...->c...", scaled_u, v_lf, optimize=True)
-
-    svd_res = ((u[:, r:] * s[r:]) @ vt[r:]).reshape(c, h, w)
-    hf_coeffs = coeffs * ~_lowfreq_mask(h, w, t, tp)
-    v_hf = idct_block(hf_coeffs, t, t)
-    dct_res = np.einsum("ci,i...->c...", scaled_u, v_hf, optimize=True)
-    raw = svd_res + dct_res
-
-    return DecompositionOutput(
-        ir_main=ir_main,
-        ir_res_raw=raw,
-        ir_res=normalize_residual(raw, cfg.C),
-        factors=factors,
-        dct_coeffs=coeffs,
-    )
-
-
 def _channel_basis_batch(flat: np.ndarray, r: int) -> np.ndarray:
     """Top-r left singular subspace of each (c, hw) matrix in the stack.
 
@@ -151,10 +86,11 @@ def lowpass_operator(h: int, w: int, t: int, t_prime: int) -> np.ndarray:
 
     Per axis and t-block the low pass is L = T_t'^T T_t[:t'], of shape
     (t', t), and K is the Kronecker product of the row and column
-    block-diagonals of L.  On row-major flattened channels ``x @ K.T`` is
-    ``idct_block(dct_block_forward(x, t), t, t')``, and ``(x @ K.T) @ K``
-    that low pass zero-padded back to full resolution.  Built once per
-    shape and shared by every caller, so the returned array is read-only.
+    block-diagonals of L.  On row-major flattened channels ``x @ K.T``
+    takes each t-block B to T_t'^T (T_t B T_t^T)[:t', :t'] T_t', its DCT
+    corner inverted at t', and ``(x @ K.T) @ K`` is that low pass
+    zero-padded back to full resolution.  Built once per shape and shared
+    by every caller, so the returned array is read-only.
     """
     if not 1 <= t_prime <= t or h % t or w % t:
         raise ValueError(f"no t'={t_prime} low pass of t={t} blocks on ({h}, {w}) channels")
@@ -187,11 +123,11 @@ def _main_stage(xs, cfg: DecompositionConfig):
 
 
 def decompose_batch(xs, cfg: DecompositionConfig):
-    """Batched decompose: (b, c, h, w) -> (ir_main, ir_res) sample by sample.
+    """The split of a (b, c, h, w) batch: (ir_main, ir_res) sample by sample.
 
-    Same split as :func:`decompose` without the per-sample factor
-    bookkeeping: the unclipped residual X - ir_main K is the channel
-    residual X - U U^T X plus the spatial one U U^T X (I - K^T K).
+    The unclipped residual X - ir_main K is the channel residual
+    X - U U^T X plus the spatial one U U^T X (I - K^T K); each sample's
+    residual is then scaled into the l2 ball of radius C.
     """
     xs, _, k, ir_main = _main_stage(xs, cfg)
     b, c = xs.shape[:2]
@@ -243,6 +179,15 @@ def decompose_main_adjoint(grad_ir_main, basis, cfg: DecompositionConfig) -> np.
     return (basis @ (proj @ k)).reshape(b, c, h, w)
 
 
+def _tail_energy(energy: np.ndarray) -> np.ndarray:
+    """tail[k] = sum(energy[k:]) for k = 0..len(energy), the last one 0.
+
+    Summed from the far end, so for non-negative energies tail never rises
+    with k, to the last bit.
+    """
+    return np.append(np.cumsum(energy[::-1])[::-1], 0.0)
+
+
 def spectrum(x, t: int, r_values, tprime_values):
     """Relative reconstruction error along each axis of the decomposition.
 
@@ -250,26 +195,38 @@ def spectrum(x, t: int, r_values, tprime_values):
     For each t': |X - X_lf| / |X| with X_lf the blockwise DCT truncation of
     all channels, zero-padded and inverted at full resolution.
     Returns rows (kind, param, rel_error) with kind in {"svd", "dct"}.
+
+    Neither reconstruction is formed.  By Eckart-Young |X - X_lr|^2 is the
+    sum of s_i^2 over i >= r, s the singular values of X flattened to
+    (c, hw).  The block DCT is orthonormal, so |X - X_lf|^2 is the energy
+    of the coefficients outside the t' x t' corner: with E[i, j] the sum of
+    (T B T^T)[i, j]^2 over every channel and t-block B, the sum of E where
+    max(i, j) >= t'.
     """
     x = as_tensor3(x)
     c, h, w = x.shape
     if h % t or w % t:
         raise ValueError(f"block size t={t} must divide spatial dims ({h}, {w})")
     norm = float(np.linalg.norm(x))
-    factors = svd(x.reshape(c, h * w))
-    coeffs = dct_block_forward(x, t)
+    s = np.linalg.svd(x.reshape(c, h * w), compute_uv=False)
+    rank_tail = _tail_energy(s * s)
+    mat = dct_matrix(t)
+    coeffs = mat @ x.reshape(c, h // t, t, w // t, t).swapaxes(2, 3) @ mat.T
+    energy = np.einsum("cabij,cabij->ij", coeffs, coeffs)
+    # shell k: the frequencies the (k+1) x (k+1) corner adds to the k x k one
+    shell = np.maximum.outer(np.arange(t), np.arange(t))
+    freq_tail = _tail_energy(np.bincount(shell.ravel(), energy.ravel(), minlength=t))
 
     rows = []
     for r in r_values:
         if not 1 <= r <= c:
             raise ValueError(f"r={r} outside [1, {c}]")
-        err = float(np.linalg.norm(x.reshape(c, h * w) - factors.reconstruct(r)))
+        err = float(np.sqrt(rank_tail[min(r, s.size)]))
         rows.append(("svd", int(r), err / norm if norm else 0.0))
     for tp in tprime_values:
         if not 1 <= tp <= t:
             raise ValueError(f"t_prime={tp} outside [1, {t}]")
-        x_lf = idct_block(coeffs * _lowfreq_mask(h, w, t, tp), t, t)
-        err = float(np.linalg.norm(x - x_lf))
+        err = float(np.sqrt(freq_tail[tp]))
         rows.append(("dct", int(tp), err / norm if norm else 0.0))
     return rows
 

@@ -1,4 +1,4 @@
-"""Dense tensor core: input checks, thin SVD, orthonormal block DCT, and 2-D
+"""Dense tensor core: input checks, the orthonormal DCT matrix, and 2-D
 convolution by matrix lowering.
 
 Arrays are 64-bit floats, except that convolutions follow their input's
@@ -13,10 +13,9 @@ channel vector.  Kernels and their gradients keep the (n, c, k, k) layout.
 
 The per-call set-up is kept small, because batch-1 requests call these
 functions many times over tiny arrays.  DCT matrices are built once per
-block size, cached, and handed out read-only; the block transforms are
-plain matmuls over a strided block view.  im2col takes its (b, H, W, k, k, c)
-window view straight from the padded NHWC buffer's strides and copies it
-once.  ``lowered_product`` (im2col, one GEMM against a kernel matrix, an
+block size, cached, and handed out read-only.  im2col takes its
+(b, H, W, k, k, c) window view straight from the padded NHWC buffer's
+strides and copies it once.  ``lowered_product`` (im2col, one GEMM against a kernel matrix, an
 optional bias) is the one lowering: ``conv2d_forward_batch`` is its checks
 around it, and a caller that keeps a kernel matrix, such as an eval-mode
 ``model.ResBlock``, calls it directly.
@@ -30,7 +29,6 @@ runs; col2im serves strided convs only.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,43 +46,7 @@ def as_tensor3(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# SVD of the flattened tensor
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SvdFactors:
-    """Thin SVD of a (rows, cols) matrix: M = sum_i s_i * u_i * v_i^T.
-
-    singular_values: (m,) non-increasing, m = min(rows, cols)
-    left_vectors:    (rows, m), orthonormal columns
-    right_vectors:   (m, cols), orthonormal rows
-    """
-
-    singular_values: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-
-    def reconstruct(self, rank: int | None = None) -> np.ndarray:
-        r = len(self.singular_values) if rank is None else rank
-        u = self.left_vectors[:, :r]
-        s = self.singular_values[:r]
-        vt = self.right_vectors[:r]
-        return (u * s) @ vt
-
-
-def svd(m) -> SvdFactors:
-    """Thin SVD of a 2-D matrix. Deterministic for a fixed input."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or min(m.shape) < 1:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return SvdFactors(singular_values=s, left_vectors=u, right_vectors=vt)
-
-
-# ---------------------------------------------------------------------------
-# Orthonormal block DCT
+# Orthonormal DCT
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
@@ -103,51 +65,6 @@ def dct_matrix(t: int) -> np.ndarray:
     mat[0, :] = np.sqrt(1.0 / t)
     mat.flags.writeable = False
     return mat
-
-
-def _split_blocks(x: np.ndarray, t: int) -> np.ndarray:
-    """(..., h, w) -> (..., h//t, w//t, t, t) without copying rows."""
-    *lead, h, w = x.shape
-    if h % t or w % t:
-        raise ValueError(f"spatial dims ({h}, {w}) not divisible by block size {t}")
-    x = x.reshape(*lead, h // t, t, w // t, t)
-    return x.swapaxes(-3, -2)
-
-
-def _join_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Inverse of _split_blocks."""
-    *lead, nb_h, nb_w, t1, t2 = blocks.shape
-    x = blocks.swapaxes(-3, -2)
-    return x.reshape(*lead, nb_h * t1, nb_w * t2)
-
-
-def dct_block_forward(channel, t: int) -> np.ndarray:
-    """Blockwise 2-D DCT of an (h, w) channel: per block C = T @ B @ T.T.
-
-    Also accepts a leading batch/channel axis.
-    """
-    x = np.asarray(channel, dtype=np.float64)
-    mat = dct_matrix(t)
-    return _join_blocks(mat @ _split_blocks(x, t) @ mat.T)
-
-
-def idct_block(coeffs, t_src: int, t_keep: int | None = None) -> np.ndarray:
-    """Blockwise inverse DCT keeping the top-left t_keep x t_keep coefficients.
-
-    Each t_src block of ``coeffs`` is truncated to its low-frequency corner and
-    inverted with the t_keep-point DCT matrix, so the output spatial size
-    shrinks by t_keep / t_src. t_keep = t_src is the exact inverse.
-    """
-    if t_keep is None:
-        t_keep = t_src
-    if t_keep > t_src:
-        raise ValueError(f"t_keep {t_keep} exceeds source block size {t_src}")
-    if t_keep < 1:
-        raise ValueError(f"t_keep must be >= 1, got {t_keep}")
-    c = np.asarray(coeffs, dtype=np.float64)
-    blocks = _split_blocks(c, t_src)[..., :t_keep, :t_keep]
-    mat = dct_matrix(t_keep)
-    return _join_blocks(mat.T @ blocks @ mat)
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,27 @@ class TestSpectrumCmd:
             errs = [err for _, err in rows]
             assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:])), kind
 
+    @pytest.mark.parametrize("samples", ["-3", "0"])
+    def test_nonpositive_samples_refused(self, tmp_path, capsys, samples):
+        # a negative count once sliced samples off the end, and 0 wrote a
+        # header-only CSV; both exited 0
+        out = tmp_path / "runS"
+        rc = main(["spectrum", "--data.n", "40", "--spectrum.samples", samples,
+                   "--out", str(out)])
+        assert rc == 1
+        assert "spectrum.samples must be >= 1" in capsys.readouterr().err
+        assert not (out / "spectrum.csv").exists()
+
+    def test_one_sample(self, tmp_path, capsys):
+        out = tmp_path / "runS"
+        rc = main(["spectrum", "--data.n", "40", "--spectrum.samples", "1",
+                   "--out", str(out)])
+        assert rc == 0
+        assert "spectrum over 1 samples" in capsys.readouterr().out
+        lines = (out / "spectrum.csv").read_text().splitlines()
+        # three channels and t = 8 by default
+        assert len(lines) == 1 + 3 + 8
+
     def test_class_means_are_low_rank_by_construction(self):
         data = synthetic_dataset(n=400, rank=3, seed=5)
         for mean in class_means(data):

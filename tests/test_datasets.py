@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from oracle import dct_block_forward
 
 from asymsplit.datasets import (
     Dataset,
@@ -11,7 +12,6 @@ from asymsplit.datasets import (
     load_idx_labels,
     synthetic_dataset,
 )
-from asymsplit.numerics import dct_block_forward
 
 
 def idx_image_bytes(pixels: np.ndarray) -> bytes:
