@@ -186,7 +186,8 @@ class ResidualCache:
 RELEASE_CHUNK = 128
 
 
-def build_cache(residuals, params: PrivacyParams | None, seed: int, sigma: float | None = None) -> ResidualCache:
+def build_cache(residuals, params: PrivacyParams | None, seed: int, sigma: float | None = None,
+                gen: np.random.Generator | None = None) -> ResidualCache:
     """Perturb and quantize every residual exactly once.
 
     ``residuals`` maps sample id -> normalized residual tensor.  Each
@@ -198,7 +199,8 @@ def build_cache(residuals, params: PrivacyParams | None, seed: int, sigma: float
 
     Blocks of at most RELEASE_CHUNK residuals (never the whole release)
     each get one stack, norm check, ``add_noise`` with its finiteness
-    check and ``quantize``; one re-keyed generator serves all of them.  A
+    check and ``quantize``; one re-keyed generator serves all of them:
+    ``gen``, a Philox generator of any key, if given, else a fresh one.  A
     sample's bits, a read-only view into its block's, equal
     ``quantize(perturb(r, sigma, seed, sample_id))`` byte for byte.
     """
@@ -214,7 +216,8 @@ def build_cache(residuals, params: PrivacyParams | None, seed: int, sigma: float
     if any(len(shape) != 3 or min(shape) < 1 for shape in shapes):
         raise ValueError(f"expected (c, h, w) residuals with positive dims, got {shapes}")
     # one generator for the whole release; add_noise re-keys it per sample
-    gen = noise_stream(seed, 0)
+    if gen is None:
+        gen = noise_stream(seed, 0)
     store = {}
     for lo in range(0, len(keys), RELEASE_CHUNK):
         chunk = ids[lo : lo + RELEASE_CHUNK]

@@ -21,8 +21,10 @@ from __future__ import annotations
 import dataclasses
 import socket
 import struct
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -253,21 +255,42 @@ class TranscriptEntry:
     values: int  # c * h * w of the frame's tensor; not written to the CSV
 
 
-@dataclass
 class Transcript:
-    entries: list = field(default_factory=list)
+    """Every frame that crossed the wire, in columns.
+
+    A record is a small code for its (direction, kind, phase) label plus
+    its byte and value counts, each appended to an ``array`` column, so a
+    long-lived wire keeps tens of bytes per frame rather than an object.
+    ``entries`` reads the rows back as ``TranscriptEntry`` values.
+    """
+
+    def __init__(self):
+        self._code_of = {}  # (direction, kind, phase) -> label code
+        self._labels = []   # label code -> (direction, kind, phase)
+        self._codes = array("I")
+        self._nbytes = array("q")
+        self._values = array("q")
 
     def record(self, direction: str, kind: str, nbytes: int, phase: str, values: int) -> None:
-        if phase not in PHASES:
-            raise ValueError(f"unknown phase {phase!r}")
-        self.entries.append(
-            TranscriptEntry(len(self.entries), direction, kind, nbytes, phase, values)
-        )
+        label = (direction, kind, phase)
+        code = self._code_of.get(label)
+        if code is None:
+            if phase not in PHASES:
+                raise ValueError(f"unknown phase {phase!r}")
+            code = self._code_of[label] = len(self._labels)
+            self._labels.append(label)
+        self._codes.append(code)
+        self._nbytes.append(nbytes)
+        self._values.append(values)
+
+    @property
+    def entries(self) -> TranscriptEntries:
+        return TranscriptEntries(self)
 
     def bytes_by_phase(self) -> dict:
         totals = {phase: 0 for phase in PHASES}
-        for entry in self.entries:
-            totals[entry.phase] += entry.nbytes
+        for code, nbytes in zip(self._codes, self._nbytes):
+            totals[self._labels[code][2]] += nbytes
         return totals
 
     def to_csv(self) -> str:
@@ -275,6 +298,42 @@ class Transcript:
         for e in self.entries:
             lines.append(f"{e.index},{e.direction},{e.kind},{e.nbytes},{e.phase}")
         return "\n".join(lines) + "\n"
+
+
+class TranscriptEntries(Sequence):
+    """Read-only view of a transcript's rows, each built when it is read.
+
+    Supports ``len``, int and slice indexing (a slice builds only its own
+    rows, as a list) and iteration, and compares equal to a list of rows.
+    """
+
+    __slots__ = ("_transcript",)
+
+    def __init__(self, transcript: Transcript):
+        self._transcript = transcript
+
+    def __len__(self) -> int:
+        return len(self._transcript._codes)
+
+    def _row(self, i: int) -> TranscriptEntry:
+        t = self._transcript
+        direction, kind, phase = t._labels[t._codes[i]]
+        return TranscriptEntry(i, direction, kind, t._nbytes[i], phase, t._values[i])
+
+    def __getitem__(self, index):
+        # a range resolves negative indices, bounds and slices as a list does
+        rows = range(len(self))[index]
+        if isinstance(index, slice):
+            return [self._row(i) for i in rows]
+        return self._row(rows)
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, TranscriptEntries)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -457,31 +516,37 @@ def run_split_training(model: Model, params, buffers, data,
     run_stage1(model, private.params, private.buffers, data, dcfg, cfg, state_private, report)
 
     if cfg.ep2 > 0:
-        # cache-build: the whole release is formed (and every residual
-        # checked against C) before its first frame is sent; then one
-        # residual-bits frame per training sample
+        # cache-build: the release is formed batch by batch, so the private
+        # side holds one batch of float residuals at a time; every batch is
+        # checked against C before the first frame is sent, and then each
+        # batch's bits go out as one residual-bits frame per sample.  The
+        # same pass keeps every sample's ir_main on the private side: the
+        # backbone is frozen, so stage 2 reads these rows
         wire.phase = "cache-build"
-        # the same pass keeps every sample's ir_main on the private side:
-        # the backbone is frozen, so stage 2 reads these rows
-        main_parts = []
-        residuals = compute_residuals(
-            model, private.params, private.buffers, data.train_x, dcfg, cfg.batch_size,
-            main_rows=main_parts,
-        )
+        main_parts, released = [], deque()
+        for lo in range(0, n, cfg.batch_size):
+            residuals = compute_residuals(
+                model, private.params, private.buffers, data.train_x[lo : lo + cfg.batch_size],
+                dcfg, cfg.batch_size, main_rows=main_parts,
+            )
+            try:
+                released.append(build_cache(
+                    {lo + j: r for j, r in residuals.items()}, privacy, cfg.seed,
+                    sigma=sigma, gen=private.noise,
+                ))
+            except ValueError as exc:
+                raise ProtocolViolation(str(exc)) from None
+            del residuals
         main_rows = np.concatenate(main_parts)
-        try:
-            cache = build_cache(residuals, privacy, cfg.seed, sigma=sigma)
-        except ValueError as exc:
-            raise ProtocolViolation(str(exc)) from None
-        # only the released bits and the ir_main rows are needed from here on
-        del residuals, main_parts
+        del main_parts
         bits_shape = (model.spec.bb_channels, *data.train_x.shape[2:])
-        for sample_id in cache.ids():
-            wire.send("private", Frame(FrameKind.RESIDUAL_BITS, sample_id, cache.bits(sample_id)))
-            frame = wire.recv("public", FrameKind.RESIDUAL_BITS, bits_shape)
-            public.store[frame.frame_id] = frame.data
-        # the public side holds its received copies; the private one is done
-        del cache
+        while released:
+            # a batch's bits are dropped once the public side holds its copies
+            cache = released.popleft()
+            for sample_id in cache.ids():
+                wire.send("private", Frame(FrameKind.RESIDUAL_BITS, sample_id, cache.bits(sample_id)))
+                frame = wire.recv("public", FrameKind.RESIDUAL_BITS, bits_shape)
+                public.store[frame.frame_id] = frame.data
 
         # stage 2: both sides derive the schedule; two frames per batch
         wire.phase = "stage2"

@@ -27,7 +27,7 @@ import numpy as np
 
 from .decompose import decompose_batch, decompose_main_adjoint, decompose_main_batch
 from .model import Model, orth_reg, private_forward, softmax
-from .privacy import add_noise, calibrate, quantize
+from .privacy import add_noise, calibrate, noise_stream, quantize
 
 # validation-time noise streams live in their own key range so they can
 # never collide with (seed, train sample id) cache streams
@@ -214,11 +214,15 @@ def run_stage1(model, params, buffers, data, dcfg, cfg, state, report):
 
 def compute_residuals(model: Model, params, buffers, xs, dcfg, batch_size: int,
                       main_rows=None):
-    """Normalized residual per training sample, backbone in eval mode.
+    """Normalized residual per sample of ``xs``, keyed by its index in
+    ``xs``, backbone in eval mode.
 
-    The same pass forms every sample's ir_main; given a list, ``main_rows``
-    receives one array of them per batch, in sample order, so stage 2 can
-    read the frozen backbone's output instead of running it again.
+    Every float residual of ``xs`` is held at once (c*h*w float64 each),
+    so the split driver calls this one ``batch_size`` slice at a time and
+    re-keys the slice to global sample ids.  The same pass forms every
+    sample's ir_main; given a list, ``main_rows`` receives one array of
+    them per batch, in sample order, so stage 2 can read the frozen
+    backbone's output instead of running it again.
     """
     out = {}
     for start in range(0, len(xs), batch_size):
@@ -330,11 +334,13 @@ def evaluate(model, params, buffers, xs, ys, dcfg, cfg, sigma: float):
     alpha = model.spec.alpha
     eval_sigma = sigma if cfg.perturb_inference else 0.0
     correct_main = correct_merged = 0
+    # one generator for every batch; add_noise re-keys it per row
+    gen = noise_stream(cfg.seed, 0)
     for start in range(0, len(xs), cfg.batch_size):
         stop = start + cfg.batch_size
         z_main, ir_res = private_forward(model, params, buffers, xs[start:stop], dcfg)
         streams = range(VAL_STREAM_BASE + start, VAL_STREAM_BASE + start + len(ir_res))
-        rows = add_noise(np.empty(ir_res.shape), ir_res, eval_sigma, cfg.seed, streams)
+        rows = add_noise(np.empty(ir_res.shape), ir_res, eval_sigma, cfg.seed, streams, gen)
         if cfg.quantize:
             rows = quantize(rows)
         z_res, _ = model.forward_res(params, buffers, rows, train=False)

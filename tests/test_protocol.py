@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import socket
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,6 +381,76 @@ class TestTranscriptAudit:
             "1,public->private,logits,534,stage2\n"
         )
 
+    def test_csv_of_a_mixed_transcript(self):
+        # labels recur and interleave, and a kind the audit refuses is
+        # still recorded and written
+        t = Transcript()
+        t.record("private->public", "residual-bits", 278, "cache-build", 2048)
+        t.record("private->public", "control", 22, "stage2", 0)
+        t.record("public->private", "logits", 534, "stage2", 64)
+        t.record("private->public", "residual-bits", 278, "cache-build", 2048)
+        t.record("public->private", "logits", 54, "inference", 4)
+        assert t.to_csv().encode() == (
+            b"index,direction,kind,bytes,phase\n"
+            b"0,private->public,residual-bits,278,cache-build\n"
+            b"1,private->public,control,22,stage2\n"
+            b"2,public->private,logits,534,stage2\n"
+            b"3,private->public,residual-bits,278,cache-build\n"
+            b"4,public->private,logits,54,inference\n"
+        )
+        assert t.bytes_by_phase() == {
+            "stage1": 0, "cache-build": 556, "stage2": 556, "inference": 54,
+        }
+        assert audit(t).violations == ((1, "frame kind 'control' not allowed in phase 'stage2'"),)
+
+
+class TestTranscriptEntries:
+    def make(self):
+        t = Transcript()
+        t.record("private->public", "residual-bits", 278, "inference", 2048)
+        t.record("public->private", "logits", 54, "inference", 4)
+        t.record("private->public", "residual-bits", 278, "inference", 2048)
+        return t
+
+    def test_empty_view_equals_empty_list(self):
+        entries = Transcript().entries
+        assert entries == []
+        assert len(entries) == 0
+        assert list(entries) == []
+        assert entries[0:] == []
+        with pytest.raises(IndexError):
+            entries[0]
+
+    def test_rows_built_on_access(self):
+        entries = self.make().entries
+        assert entries[1] == protocol.TranscriptEntry(
+            1, "public->private", "logits", 54, "inference", 4
+        )
+        assert [e.index for e in entries] == [0, 1, 2]
+        assert entries == [entries[0], entries[1], entries[2]]
+        assert entries != [entries[0], entries[1]]
+
+    def test_negative_and_slice_indices(self):
+        entries = self.make().entries
+        assert entries[-1] == entries[2]
+        assert entries[-3] == entries[0]
+        for bad in (3, -4):
+            with pytest.raises(IndexError):
+                entries[bad]
+        assert entries[1:] == [entries[1], entries[2]]
+        assert entries[::2] == [entries[0], entries[2]]
+        assert entries[5:] == []
+        assert entries[-2:-1] == [entries[1]]
+
+    def test_view_is_read_only_and_live(self):
+        t = self.make()
+        entries = t.entries
+        with pytest.raises(TypeError):
+            entries[0] = entries[1]
+        t.record("public->private", "logits", 54, "inference", 4)
+        assert len(entries) == 4
+        assert entries[-1].index == 3
+
 
 def tiny_setup(seed=0, n=64, ep1=1, ep2=2, epsilon=float("inf"), **cfg_kwargs):
     data = synthetic_dataset(n=n, seed=seed)
@@ -426,8 +497,9 @@ class TestSplitTraining:
                 assert theirs[key].tobytes() == mine[key].tobytes(), key
 
     def test_residual_over_bound_refused_before_any_frame(self, monkeypatch):
-        # the last sample breaks the bound C: nothing may have been sent
-        # for the earlier ones by the time the driver refuses
+        # the driver forms the release one batch at a time, so the last
+        # sample of the first batch breaks the bound C: nothing may have
+        # been sent by the time the driver refuses
         real = protocol.compute_residuals
 
         def one_too_large(*args, **kwargs):
@@ -443,6 +515,77 @@ class TestSplitTraining:
         (wire,) = wires
         assert wire.phase == "cache-build"
         assert not [e for e in wire.transcript.entries if e.kind == "residual-bits"]
+
+    def test_last_batch_over_bound_refuses_the_whole_release(self, monkeypatch):
+        # every earlier batch passes the norm check and is perturbed; the
+        # last one breaks C, and still no residual bits have left
+        data, model, params, buffers, cfg = tiny_setup(n=80, ep1=0, ep2=1, epsilon=0.5)
+        n_batches = -(-len(data.train_x) // cfg.batch_size)
+        assert n_batches > 2
+        real = protocol.compute_residuals
+        calls = []
+
+        def last_too_large(*args, **kwargs):
+            residuals = real(*args, **kwargs)
+            calls.append(len(residuals))
+            if len(calls) == n_batches:
+                residuals = {j: 2.0 * r for j, r in residuals.items()}
+            return residuals
+
+        monkeypatch.setattr(protocol, "compute_residuals", last_too_large)
+        wires = record_wires(monkeypatch)
+        with pytest.raises(ProtocolViolation, match="sensitivity") as refused:
+            run_split_training(model, params, buffers, data, DCFG, cfg)
+        assert len(calls) == n_batches
+        # the refused sample is named by its global id, in the last batch
+        sample_id = int(str(refused.value).rsplit(" ", 1)[1])
+        assert (n_batches - 1) * cfg.batch_size <= sample_id < len(data.train_x)
+        (wire,) = wires
+        assert wire.phase == "cache-build"
+        assert not [e for e in wire.transcript.entries if e.kind == "residual-bits"]
+
+    def test_release_formed_one_batch_at_a_time(self, monkeypatch):
+        # each batch's float residuals are formed and perturbed on their
+        # own, keyed by global sample id, in sample order
+        residual_sizes, released = [], []
+        real_residuals, real_cache = protocol.compute_residuals, protocol.build_cache
+
+        def residuals_spy(model, params, buffers, xs, dcfg, batch_size, **kwargs):
+            residual_sizes.append(len(xs))
+            return real_residuals(model, params, buffers, xs, dcfg, batch_size, **kwargs)
+
+        def cache_spy(residuals, *args, **kwargs):
+            released.append(list(residuals))
+            return real_cache(residuals, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "compute_residuals", residuals_spy)
+        monkeypatch.setattr(protocol, "build_cache", cache_spy)
+        data, model, params, buffers, cfg = tiny_setup(n=80, ep1=0, ep2=1, epsilon=0.5)
+        _, _, _, public = run_split_training(model, params, buffers, data, DCFG, cfg)
+        n = len(data.train_x)
+        n_batches = -(-n // cfg.batch_size)
+        assert len(residual_sizes) == len(released) == n_batches
+        assert all(size <= cfg.batch_size for size in residual_sizes)
+        assert [len(ids) for ids in released] == residual_sizes
+        assert [i for ids in released for i in ids] == list(range(n))
+        assert sorted(public.store) == list(range(n))
+
+    def test_release_constructs_no_generator(self, monkeypatch):
+        # the driver hands the private endpoint's generator to every
+        # batch's build_cache: no Philox is seeded during cache-build
+        wires = record_wires(monkeypatch)
+        phases = []
+        real = np.random.Philox
+
+        def spy(*args, **kwargs):
+            phases.append(wires[0].phase if wires else None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", spy)
+        data, model, params, buffers, cfg = tiny_setup(n=80, ep1=0, ep2=1, epsilon=0.5)
+        run_split_training(model, params, buffers, data, DCFG, cfg)
+        assert phases.count("stage1") == 1  # the endpoint's own generator
+        assert phases.count("cache-build") == 0
 
     def test_overflowing_features_stop_training_before_the_release(self, monkeypatch):
         # finite weights whose backbone features square to inf would end in
@@ -808,3 +951,42 @@ class TestSplitInference:
             assert preds[i] == int(np.argmax(z_main))
         kinds = [e.kind for e in wire.transcript.entries]
         assert kinds.count("logits") == len(data.val_x)
+
+
+def traced_peak(fn):
+    """Peak bytes tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_split_training_peak_grows_by_bits_not_floats(self):
+        # a sample's float residual is 2048 doubles (16 KB); only its bits,
+        # its ir_main row and its transcript rows may stay for the run
+        def peak(n):
+            data, model, params, buffers, cfg = tiny_setup(n=n, ep1=0, ep2=1, epsilon=0.5)
+            run_split_training(model, params, buffers, data, DCFG, cfg)  # fills shape caches
+            return len(data.train_x), traced_peak(
+                lambda: run_split_training(model, params, buffers, data, DCFG, cfg)
+            )
+
+        (n_small, small), (n_large, large) = peak(80), peak(400)
+        assert (n_small, n_large) == (64, 320)
+        per_sample = (large - small) / (n_large - n_small)
+        assert per_sample < 8 * 1024, per_sample
+
+    def test_transcript_costs_tens_of_bytes_per_request(self):
+        t = Transcript()
+        requests = 20_000
+
+        def record():
+            for _ in range(requests):
+                t.record("private->public", "residual-bits", 278, "inference", 2048)
+                t.record("public->private", "logits", 54, "inference", 4)
+
+        assert traced_peak(record) <= 48 * requests
+        assert len(t.entries) == 2 * requests

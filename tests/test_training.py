@@ -340,6 +340,22 @@ class TestEvaluate:
             full = evaluate(model, params, buffers, data.val_x, data.val_y, DCFG, cfg, sigma=2.0)
             assert main == full[0]
 
+    def test_one_generator_per_call(self, monkeypatch):
+        # add_noise re-keys one generator for every batch of the call
+        data, model, params, buffers = self.make()
+        cfg = TrainConfig(batch_size=7, epsilon=0.5)
+        assert len(data.val_x) > 2 * cfg.batch_size
+        built = []
+        real = np.random.Philox
+
+        def spy(*args, **kwargs):
+            built.append(args or kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", spy)
+        evaluate(model, params, buffers, data.val_x, data.val_y, DCFG, cfg, sigma=2.0)
+        assert len(built) == 1
+
     def test_noise_changes_with_sigma(self):
         data = synthetic_dataset(n=200, seed=2)
         model = Model(default_spec(r=4))
