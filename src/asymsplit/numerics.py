@@ -15,15 +15,24 @@ The per-call set-up is kept small, because batch-1 requests call these
 functions many times over tiny arrays.  DCT matrices are built once per
 block size, cached, and handed out read-only.  im2col takes its
 (b, H, W, k, k, c) window view straight from the padded NHWC buffer's
-strides and copies it once.  ``lowered_product`` (im2col, one GEMM against a kernel matrix, an
-optional bias) is the one lowering: ``conv2d_forward_batch`` is its checks
-around it, and a caller that keeps a kernel matrix, such as an eval-mode
-``model.ResBlock``, calls it directly.
+strides and copies it once.  ``lowered_product`` (im2col, one GEMM against
+a kernel matrix, an optional bias) is the one lowering:
+``conv2d_forward_batch`` is its checks around it, and a caller that keeps a
+kernel matrix, such as an eval-mode ``model.ResBlock``, calls it directly.
+
+Memory is bounded by lowering in batch slices (after MEC, Cho & Brand,
+ICML 2017): a batch is lowered ``COLUMN_BYTES`` of columns at a time, in
+slices of whole samples, one sample at least, instead of as one
+multi-megabyte column buffer per conv.  The forward product writes each
+slice's rows into one preallocated output, so it is bitwise the one-shot
+product; the weight gradient adds the slices' partial products in slice
+order, which reassociates its sums over the batch, so it is equal to the
+one-shot GEMM only to rounding.
 
 A stride-1 input gradient is itself a correlation: grad_out, padded by
-k-1-pad, against the flipped kernel with its channel axes swapped.  It takes
-one im2col of grad_out and one GEMM with a c-column output, so no scatter-add
-runs; col2im serves strided convs only.
+k-1-pad, against the flipped kernel with its channel axes swapped.  It goes
+through ``lowered_product`` (so it is sliced too), and no scatter-add runs.
+col2im serves strided convs only, in one pass over the whole batch.
 """
 
 from __future__ import annotations
@@ -31,6 +40,10 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+# bytes of im2col columns lowered at a time: a slice is as many whole
+# samples as fit, one sample at least
+COLUMN_BYTES = 1 << 20
 
 
 def as_tensor3(x) -> np.ndarray:
@@ -158,13 +171,30 @@ def conv2d_forward_batch(x, weights, stride: int = 1, padding=0) -> np.ndarray:
 def lowered_product(x, matrix, k: int, stride: int, pad: int, bias=None) -> np.ndarray:
     """A (b, c, h, w) batch convolved with a kernel given as its
     ``kernel_matrix``, plus ``bias`` per output channel when set.  Nothing
-    is checked: the matrix (and bias) should be in x's ``float_dtype``."""
+    is checked: the matrix (and bias) should be in x's ``float_dtype``.
+
+    The batch is lowered in slices of whole samples, each of at most
+    ``COLUMN_BYTES`` of columns (one sample at least), and each slice's GEMM
+    writes its rows of one preallocated channels-last output; a batch that
+    fits one slice is multiplied as it is, with no output to fill.  A row
+    of the output is one column times the kernel matrix whatever the slice,
+    so the result equals the one-shot product bit for bit.
+    """
     b, _, h, w = x.shape
-    out = im2col(x, k, stride, pad) @ matrix.T
+    out_h, out_w = conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad)
+    n, depth = matrix.shape
+    step = max(1, COLUMN_BYTES // (out_h * out_w * depth * matrix.itemsize))
+    if b <= step:
+        # one slice, as for every batch-1 request
+        out = im2col(x, k, stride, pad) @ matrix.T
+    else:
+        out = np.empty((b * out_h * out_w, n), matrix.dtype)
+        for lo in range(0, b, step):
+            rows = out[lo * out_h * out_w : (lo + step) * out_h * out_w]
+            np.matmul(im2col(x[lo : lo + step], k, stride, pad), matrix.T, out=rows)
     if bias is not None:
         out += bias
-    out_h, out_w = conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad)
-    return out.reshape(b, out_h, out_w, -1).transpose(0, 3, 1, 2)
+    return out.reshape(b, out_h, out_w, n).transpose(0, 3, 1, 2)
 
 
 def conv2d_backward_batch(grad_out, x, weights, stride: int = 1, padding=0,
@@ -174,6 +204,16 @@ def conv2d_backward_batch(grad_out, x, weights, stride: int = 1, padding=0,
     Returns (grad_x, grad_w) with grad_w in the kernel's (n, c, k, k) layout.
     With ``input_grad=False`` grad_x is None and is never formed, for a conv
     whose input is a leaf of the graph.
+
+    x is lowered in the forward pass's slices of at most ``COLUMN_BYTES``,
+    and grad_w adds each slice's ``g_slice.T @ im2col(x_slice)`` in slice
+    order, so no column buffer of the whole batch is formed.  The sum runs
+    over every output position of the batch, so splitting it reassociates
+    it: grad_w matches the one-shot GEMM to rounding, not bit for bit.  The
+    stride-1 input gradient is a ``lowered_product`` and is sliced the same
+    way.  A strided one stays one ``col2im`` of the whole batch: a sliced
+    scatter-add would write a fresh NCHW buffer per slice, and it was not
+    faster.
     """
     x = np.asarray(x, dtype=float_dtype(x))
     weights = np.asarray(weights, dtype=x.dtype)
@@ -189,10 +229,12 @@ def conv2d_backward_batch(grad_out, x, weights, stride: int = 1, padding=0,
             f"grad_out shape {grad_out.shape} != expected {(b, n, out_h, out_w)}"
         )
     g_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, n)
-    # x's columns are dropped once grad_w is formed, never held while
-    # grad_out is lowered below: a smaller peak, and less heap regrowth
-    grad_w = (g_flat.T @ im2col(x, k, stride, pad)).reshape(n, k, k, c).transpose(0, 3, 1, 2)
-    grad_w = np.ascontiguousarray(grad_w)
+    step = max(1, COLUMN_BYTES // (out_h * out_w * k * k * c * x.itemsize))
+    grad_w = np.zeros((n, k * k * c), x.dtype)
+    for lo in range(0, b, step):
+        g_slice = g_flat[lo * out_h * out_w : (lo + step) * out_h * out_w]
+        grad_w += g_slice.T @ im2col(x[lo : lo + step], k, stride, pad)
+    grad_w = np.ascontiguousarray(grad_w.reshape(n, k, k, c).transpose(0, 3, 1, 2))
     if not input_grad:
         return None, grad_w
     if stride != 1:

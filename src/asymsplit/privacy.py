@@ -158,6 +158,21 @@ def quantize(ir_noisy) -> np.ndarray:
     return (x >= 0).view(np.uint8)
 
 
+# Released bits at rest and on the wire: one bit per value, channel-major,
+# most significant bit first, zero-padded to a whole byte.
+
+def pack_bits(bits) -> bytes:
+    """A (c, h, w) tensor of 0/1 bits as its packed bytes."""
+    return np.packbits(np.asarray(bits, dtype=np.uint8).reshape(-1), bitorder="big").tobytes()
+
+
+def unpack_bits(packed: np.ndarray, shape) -> np.ndarray:
+    """Rows of packed uint8 bytes (a leading axis or none) as 0/1 uint8
+    bits, each row reshaped to the (c, h, w) ``shape``."""
+    bits = np.unpackbits(packed, axis=-1, count=math.prod(shape), bitorder="big")
+    return bits.reshape(*packed.shape[:-1], *shape)
+
+
 @dataclass
 class ResidualCache:
     """Immutable store of one-shot quantized residual bits, keyed by sample id."""

@@ -33,7 +33,7 @@ import numpy as np
 # protocol.decompose_batch (perfbench/tests/test_perfbench.py::TestInstall)
 from .decompose import DecompositionConfig, decompose_batch  # noqa: F401
 from .model import Model, private_forward
-from .privacy import build_cache, noise_stream, perturb, quantize
+from .privacy import build_cache, noise_stream, pack_bits, perturb, quantize, unpack_bits
 from .training import (
     SgdState,
     Stage2Private,
@@ -112,10 +112,10 @@ def encode_frame(frame: Frame) -> bytes:
     c, h, w = frame.data.shape
     header = _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, int(frame.kind), frame.frame_id, c, h, w)
     if frame.kind == FrameKind.RESIDUAL_BITS:
-        bits = np.asarray(frame.data, dtype=np.uint8).reshape(-1)
+        bits = np.asarray(frame.data, dtype=np.uint8)
         if bits.size and bits.max() > 1:
             raise ValueError("residual payload must be 0/1 bits")
-        payload = np.packbits(bits, bitorder="big").tobytes()
+        payload = pack_bits(bits)
     else:
         payload = np.asarray(frame.data, dtype="<f8").tobytes()
     return header + payload
@@ -144,7 +144,9 @@ def _parse_header(raw: bytes):
     return kind, frame_id, c, h, w
 
 
-def decode_frame(raw: bytes) -> Frame:
+def _parse_frame(raw: bytes):
+    """Check a whole frame's header and payload length.  Returns (kind,
+    frame_id, (c, h, w))."""
     kind, frame_id, c, h, w = _parse_header(raw)
     expected = _payload_length(kind, c * h * w)
     if len(raw) != _HEADER.size + expected:
@@ -152,15 +154,18 @@ def decode_frame(raw: bytes) -> Frame:
             f"frame payload length {len(raw) - _HEADER.size} != expected {expected} "
             f"at offset {_HEADER.size}"
         )
+    return kind, frame_id, (c, h, w)
+
+
+def _frame_data(raw: bytes, kind: FrameKind, shape) -> np.ndarray:
     if kind == FrameKind.RESIDUAL_BITS:
-        bits = np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size),
-            count=c * h * w, bitorder="big",
-        )
-        data = bits.reshape(c, h, w)
-    else:
-        data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(c, h, w)
-    return Frame(kind, frame_id, data)
+        return unpack_bits(np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size), shape)
+    return np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(shape)
+
+
+def decode_frame(raw: bytes) -> Frame:
+    kind, frame_id, shape = _parse_frame(raw)
+    return Frame(kind, frame_id, _frame_data(raw, kind, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +399,30 @@ class Wire:
     def recv(self, receiver: str, expect: FrameKind, shape=None) -> Frame:
         """The next frame for ``receiver``, which must be of kind ``expect``
         and, given a (c, h, w) tuple ``shape``, carry data of that shape."""
-        frame = decode_frame(self.channel.recv(receiver))
-        if frame.kind != expect:
+        raw, kind, frame_id, got = self._recv_raw(receiver, expect, shape)
+        return Frame(kind, frame_id, _frame_data(raw, kind, got))
+
+    def recv_packed(self, receiver: str, shape) -> tuple:
+        """The next residual-bits frame for ``receiver``, checked as ``recv``
+        checks it, as (frame id, packed payload bytes): the bits as they
+        crossed the wire, never unpacked."""
+        raw, _, frame_id, _ = self._recv_raw(receiver, FrameKind.RESIDUAL_BITS, shape)
+        return frame_id, raw[_HEADER.size :]
+
+    def _recv_raw(self, receiver: str, expect: FrameKind, shape):
+        raw = self.channel.recv(receiver)
+        kind, frame_id, got = _parse_frame(raw)
+        if kind != expect:
             raise ProtocolViolation(
-                f"{receiver} endpoint got {frame.kind.wire_name!r}, "
+                f"{receiver} endpoint got {kind.wire_name!r}, "
                 f"expected {expect.wire_name!r} in phase {self.phase!r}"
             )
-        if shape is not None and frame.data.shape != shape:
+        if shape is not None and got != shape:
             raise ProtocolViolation(
                 f"{receiver} endpoint got a {expect.wire_name!r} frame of shape "
-                f"{frame.data.shape}, expected {shape} in phase {self.phase!r}"
+                f"{got}, expected {shape} in phase {self.phase!r}"
             )
-        return frame
+        return raw, kind, frame_id, got
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +458,9 @@ class PrivateEndpoint:
 
 
 class PublicEndpoint:
-    """Owns M_res and, after cache-build, the released residual bits."""
+    """Owns M_res and, after cache-build, the released residual bits:
+    ``store`` maps each sample id to the packed payload of the frame that
+    carried its bits."""
 
     role = "public"
 
@@ -545,8 +564,8 @@ def run_split_training(model: Model, params, buffers, data,
             cache = released.popleft()
             for sample_id in cache.ids():
                 wire.send("private", Frame(FrameKind.RESIDUAL_BITS, sample_id, cache.bits(sample_id)))
-                frame = wire.recv("public", FrameKind.RESIDUAL_BITS, bits_shape)
-                public.store[frame.frame_id] = frame.data
+                frame_id, payload = wire.recv_packed("public", bits_shape)
+                public.store[frame_id] = payload
 
         # stage 2: both sides derive the schedule; two frames per batch
         wire.phase = "stage2"
@@ -554,7 +573,7 @@ def run_split_training(model: Model, params, buffers, data,
             model, private.params, private.buffers, cfg, state_private, report
         )
         stepper_public = Stage2Public(
-            model, public.params, public.buffers, public.store, cfg, SgdState()
+            model, public.params, public.buffers, public.store, cfg, SgdState(), bits_shape
         )
         k = model.spec.num_classes
         y1h = one_hot(data.train_y, k)

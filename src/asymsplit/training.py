@@ -27,7 +27,7 @@ import numpy as np
 
 from .decompose import decompose_batch, decompose_main_adjoint, decompose_main_batch
 from .model import Model, orth_reg, private_forward, softmax
-from .privacy import add_noise, calibrate, noise_stream, quantize
+from .privacy import add_noise, calibrate, noise_stream, quantize, unpack_bits
 
 # validation-time noise streams live in their own key range so they can
 # never collide with (seed, train sample id) cache streams
@@ -285,11 +285,17 @@ class Stage2Private:
 
 class Stage2Public:
     """Public-side batch step: residual logits from cached bits, then the
-    received gradient applied to the residual branch."""
+    received gradient applied to the residual branch.
 
-    def __init__(self, model, params, buffers, store, cfg, state):
+    Given a (c, h, w) ``bits_shape``, each ``store`` entry is a sample's
+    packed bits (``privacy.pack_bits``), unpacked one batch at a time;
+    without it, each entry is the residual branch's input tensor itself.
+    """
+
+    def __init__(self, model, params, buffers, store, cfg, state, bits_shape=None):
         self.model, self.params, self.buffers = model, params, buffers
         self.store, self.cfg, self.state = store, cfg, state
+        self.bits_shape = bits_shape
         self.lr = cfg.lr
         self._cache = None
         self._batch = 0
@@ -298,7 +304,12 @@ class Stage2Public:
         self.lr = cosine_lr(self.cfg.lr, epoch, self.cfg.ep2)
 
     def logits(self, sample_ids) -> np.ndarray:
-        inputs = np.stack([self.store[int(i)] for i in sample_ids])
+        entries = [self.store[int(i)] for i in sample_ids]
+        if self.bits_shape is None:
+            inputs = np.stack(entries)
+        else:
+            packed = np.frombuffer(b"".join(entries), dtype=np.uint8)
+            inputs = unpack_bits(packed.reshape(len(entries), -1), self.bits_shape)
         z_res, cache = self.model.forward_res(self.params, self.buffers, inputs, train=True)
         self._cache, self._batch = cache, len(sample_ids)
         return z_res

@@ -3,8 +3,9 @@
 Both sides share one params/buffers dict pair and nothing crosses a wire:
 stage 1, then every residual perturbed (and quantized) once into a store,
 then the stage-2 batch loop.  ``protocol.run_split_training`` must match it
-bitwise.  It also runs the unquantized ablation, whose perturbed floats the
-split driver refuses to send.
+bitwise.  Its store keeps each sample's bits unpacked (and the unquantized
+ablation its perturbed floats, which the split driver refuses to send), so
+the split run's packed store is checked against plain tensors.
 """
 
 from asymsplit.decompose import decompose_main_batch

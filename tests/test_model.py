@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,6 +403,44 @@ class TestResidualBranch:
         for key in buf32:
             assert buf32[key].dtype == np.float64
             assert rel_gap(buf32[key], buf64[key]) <= 1e-5, key
+
+
+class TestTrainingStepMemory:
+    """Batch-128 training steps lower their convolutions in bounded
+    slices: tracemalloc's peak over a step stays a few MiB."""
+
+    @staticmethod
+    def traced_peak_mib(fn):
+        fn()  # fills the shape caches outside the trace
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def setup_method(self):
+        self.model = Model(default_spec())
+        self.params, self.buffers = self.model.init(0)
+        self.rng = np.random.default_rng(5)
+
+    def test_residual_branch_step(self):
+        bits = (self.rng.random((128, 8, 16, 16)) < 0.5).astype(np.uint8)
+
+        def step():
+            z, cache = self.model.forward_res(self.params, self.buffers, bits, True)
+            self.model.backward_res(self.params, cache, np.ones_like(z) / 128, {})
+
+        assert self.traced_peak_mib(step) <= 13
+
+    def test_backbone_step(self):
+        images = self.rng.normal(size=(128, 3, 16, 16))
+
+        def step():
+            feats, cache = self.model.forward_backbone(self.params, self.buffers, images, True)
+            self.model.backward_backbone(self.params, cache, np.ones_like(feats), {})
+
+        assert self.traced_peak_mib(step) <= 6
 
 
 class TestLeafInputGradients:

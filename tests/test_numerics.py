@@ -4,6 +4,7 @@ import scipy.fft
 from oracle import dct_block_forward, idct_block, svd
 
 from asymsplit import numerics
+from asymsplit.model import Model, default_spec
 from asymsplit.numerics import (
     as_tensor3,
     col2im,
@@ -452,3 +453,100 @@ class TestLowering:
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         for b, y, xx, i, j, ch in np.ndindex(cols.shape):
             assert cols[b, y, xx, i, j, ch] == xp[b, ch, y * stride + i, xx * stride + j]
+
+
+# the batch-128 convolutions of a training step: res/b0 conv2, res/b0 conv1,
+# res/b1 conv1 (float32) and the float64 backbone, as (x shape, n, k,
+# stride, pad, dtype)
+BENCH_CONVS = [
+    ((128, 24, 8, 8), 24, 3, 1, 1, np.float32),
+    ((128, 8, 16, 16), 24, 3, 2, 1, np.float32),
+    ((128, 24, 8, 8), 48, 3, 2, 1, np.float32),
+    ((128, 3, 16, 16), 8, 3, 1, 1, np.float64),
+]
+
+
+def slice_samples(x_shape, k, stride, pad, dtype):
+    """Samples per im2col slice at COLUMN_BYTES."""
+    _, c, h, w = x_shape
+    out_hw = conv_out_size(h, k, stride, pad) * conv_out_size(w, k, stride, pad)
+    return max(1, numerics.COLUMN_BYTES // (out_hw * k * k * c * np.dtype(dtype).itemsize))
+
+
+def one_shot(x, matrix, k, stride, pad, bias=None):
+    """The whole batch lowered at once and multiplied by one GEMM."""
+    b, _, h, w = x.shape
+    out = im2col(x, k, stride, pad) @ matrix.T
+    if bias is not None:
+        out += bias
+    out_h, out_w = conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad)
+    return out.reshape(b, out_h, out_w, -1).transpose(0, 3, 1, 2)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+class TestSlicedLowering:
+    """Convolutions lower COLUMN_BYTES of columns at a time."""
+
+    @pytest.mark.parametrize("batch", [128, 1])
+    @pytest.mark.parametrize("x_shape, n, k, stride, pad, dtype", BENCH_CONVS)
+    def test_forward_bitwise_equals_one_shot(self, x_shape, n, k, stride, pad, dtype, batch):
+        step = slice_samples(x_shape, k, stride, pad, dtype)
+        # every bench shape is sliced, and its last slice is ragged
+        assert 1 < step < 128 and 128 % step
+        rng = np.random.default_rng(90)
+        x = rng.normal(size=(batch, *x_shape[1:])).astype(dtype)
+        w = rng.normal(size=(n, x_shape[1], k, k)).astype(dtype)
+        bias = rng.normal(size=n).astype(dtype)
+        matrix = numerics.kernel_matrix(w)
+        y = numerics.lowered_product(x, matrix, k, stride, pad)
+        assert same_bits(y, one_shot(x, matrix, k, stride, pad))
+        assert same_bits(conv2d_forward_batch(x, w, stride, pad), y)
+        y = numerics.lowered_product(x, matrix, k, stride, pad, bias=bias)
+        assert same_bits(y, one_shot(x, matrix, k, stride, pad, bias))
+
+    @pytest.mark.parametrize("x_shape, n, k, stride, pad, dtype", BENCH_CONVS)
+    def test_backward_against_one_shot(self, x_shape, n, k, stride, pad, dtype):
+        rng = np.random.default_rng(91)
+        x = rng.normal(size=x_shape).astype(dtype)
+        w = rng.normal(size=(n, x_shape[1], k, k)).astype(dtype)
+        g = rng.normal(size=conv2d_forward_batch(x, w, stride, pad).shape).astype(dtype)
+        gx, gw = conv2d_backward_batch(g, x, w, stride, pad)
+        g_flat = g.transpose(0, 2, 3, 1).reshape(-1, n)
+        want_w = (g_flat.T @ im2col(x, k, stride, pad)).reshape(n, k, k, -1).transpose(0, 3, 1, 2)
+        # the slices' partial sums reassociate grad_w's sum over the batch
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        assert gw.dtype == dtype
+        assert np.max(np.abs(gw - want_w)) <= tol * np.max(np.abs(want_w))
+        if stride == 1:
+            # a stride-1 input gradient is a forward product: bitwise
+            flipped = w[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(x_shape[1], -1)
+            assert same_bits(gx, one_shot(g, flipped, k, 1, k - 1 - pad))
+
+    def test_training_steps_stay_under_the_column_budget(self, monkeypatch):
+        # no column buffer of a batch-128 res or backbone step exceeds
+        # COLUMN_BYTES, unless one sample's columns alone do
+        buffers_seen = []
+
+        def spy(x, k, stride, pad):
+            cols = im2col(x, k, stride, pad)
+            buffers_seen.append((len(x), cols.nbytes))
+            return cols
+
+        model = Model(default_spec())
+        params, buffers = model.init(0)
+        rng = np.random.default_rng(93)
+        bits = (rng.random((128, 8, 16, 16)) < 0.5).astype(np.uint8)
+        images = rng.normal(size=(128, 3, 16, 16))
+        monkeypatch.setattr(numerics, "im2col", spy)
+        z, cache = model.forward_res(params, buffers, bits, True)
+        model.backward_res(params, cache, np.ones_like(z), {})
+        feats, cache = model.forward_backbone(params, buffers, images, True)
+        model.backward_backbone(params, cache, np.ones_like(feats), {})
+        assert buffers_seen and min(size for size, _ in buffers_seen) < 128
+        for size, nbytes in buffers_seen:
+            assert nbytes <= numerics.COLUMN_BYTES or size == 1, (size, nbytes)

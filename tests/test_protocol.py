@@ -642,9 +642,12 @@ class TestSplitTraining:
         # bits of this run are fixed, whatever precision the public side uses
         data, model, params, buffers, cfg = tiny_setup(n=200, ep1=2, ep2=1, epsilon=0.5)
         _, _, _, public = run_split_training(model, params, buffers, data, DCFG, cfg)
+        # the store keeps each sample's packed payload; the digest is of the
+        # unpacked 0/1 bytes, one per released bit
         digest = hashlib.sha256()
         for sample_id in sorted(public.store):
-            digest.update(np.ascontiguousarray(public.store[sample_id]).tobytes())
+            packed = np.frombuffer(public.store[sample_id], dtype=np.uint8)
+            digest.update(np.unpackbits(packed, bitorder="big").tobytes())
         assert len(public.store) == len(data.train_x)
         assert digest.hexdigest() == (
             "c57b71e0957cb3ebdf3850fceb66bf2467ee913ad7c207e862703035f6b38f3c"
@@ -732,15 +735,34 @@ class TestSplitTraining:
         assert report.bytes_by_phase == wire.transcript.bytes_by_phase()
         assert audit(wire.transcript).passed
 
-    def test_public_store_holds_wire_bits(self):
+    def test_public_store_holds_wire_bits(self, monkeypatch):
+        # each entry is, byte for byte, the 256-byte payload of the frame
+        # that carried it, and unpacks to the 0/1 bits the private side sent
+        sent, payloads = {}, {}
+        real_send = protocol.Wire.send
+
+        def send_spy(self, sender, frame):
+            if frame.kind == FrameKind.RESIDUAL_BITS:
+                sent[frame.frame_id] = np.array(frame.data)
+            return real_send(self, sender, frame)
+
+        class PayloadChannel(MemoryChannel):
+            def send(self, sender, raw):
+                frame = decode_frame(raw)
+                if frame.kind == FrameKind.RESIDUAL_BITS:
+                    payloads[frame.frame_id] = raw[HEADER_BYTES:]
+                super().send(sender, raw)
+
+        monkeypatch.setattr(protocol.Wire, "send", send_spy)
         data, model, params, buffers, cfg = tiny_setup(n=32, ep2=1)
-        _, _, private, public = run_split_training(
-            model, params, buffers, data, DCFG, cfg
+        _, _, _, public = run_split_training(
+            model, params, buffers, data, DCFG, cfg, channel=PayloadChannel()
         )
-        assert set(public.store) == set(range(len(data.train_x)))
-        sample = public.store[0]
-        assert sample.dtype == np.uint8
-        assert set(np.unique(sample)) <= {0, 1}
+        assert set(public.store) == set(sent) == set(payloads) == set(range(len(data.train_x)))
+        for sample_id, entry in public.store.items():
+            assert len(entry) == 256 and bytes(entry) == payloads[sample_id]
+            bits = np.unpackbits(np.frombuffer(entry, dtype=np.uint8), bitorder="big")
+            assert bits.tobytes() == sent[sample_id].tobytes()
 
     def test_unquantized_config_refused(self):
         data, model, params, buffers, cfg = tiny_setup(n=32, quantize=False)
@@ -978,6 +1000,23 @@ class TestBoundedMemory:
         assert (n_small, n_large) == (64, 320)
         per_sample = (large - small) / (n_large - n_small)
         assert per_sample < 8 * 1024, per_sample
+
+    def test_public_store_keeps_bits_packed(self):
+        # a sample's 2048 released bits rest as their 256-byte payload: the
+        # entries the store holds, dropped once the run is over, free at
+        # most 300 B per sample
+        data, model, params, buffers, cfg = tiny_setup(n=400, ep1=0, ep2=1, epsilon=0.5)
+        tracemalloc.start()
+        try:
+            _, _, _, public = run_split_training(model, params, buffers, data, DCFG, cfg)
+            held = tracemalloc.get_traced_memory()[0]
+            for sample_id in public.store:
+                public.store[sample_id] = None
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(public.store) == len(data.train_x) == 320
+        assert freed / len(public.store) <= 300, freed / len(public.store)
 
     def test_transcript_costs_tens_of_bytes_per_request(self):
         t = Transcript()
