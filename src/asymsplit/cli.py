@@ -24,7 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import Dataset, load_idx_dataset, load_idx_images, synthetic_dataset
+from .datasets import (
+    Dataset,
+    load_idx_dataset,
+    load_idx_images,
+    synthetic_dataset,
+    synthetic_images,
+    synthetic_train_count,
+)
 from .decompose import DecompositionConfig, format_spectrum_csv, spectrum
 from .model import (
     BlockSpec,
@@ -168,16 +175,23 @@ def format_config(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _synthetic_keys(cfg: dict) -> dict:
+    return {"n": cfg["data.n"], "num_classes": cfg["data.classes"], "side": cfg["data.side"],
+            "noise": cfg["data.noise"], "seed": cfg["data.seed"]}
+
+
 def build_dataset(cfg: dict) -> Dataset:
     if cfg["data.kind"] == "idx":
         return load_idx_dataset(cfg["data.images"], cfg["data.labels"])
-    return synthetic_dataset(
-        n=cfg["data.n"],
-        num_classes=cfg["data.classes"],
-        side=cfg["data.side"],
-        noise=cfg["data.noise"],
-        seed=cfg["data.seed"],
-    )
+    return synthetic_dataset(**_synthetic_keys(cfg))
+
+
+def first_train_images(cfg: dict, k: int) -> np.ndarray:
+    """``build_dataset(cfg).train_x[:k]``; a synthetic set draws only those."""
+    if cfg["data.kind"] == "idx":
+        return build_dataset(cfg).train_x[:k]
+    keys = _synthetic_keys(cfg)
+    return synthetic_images(**keys, count=min(k, synthetic_train_count(keys["n"])))[0]
 
 
 def config_from_keys(cls, cfg: dict, prefix: str):
@@ -285,9 +299,8 @@ def _check_tensors(path, label: str, tensors: dict, expected: dict) -> None:
 
 def cmd_spectrum(args) -> int:
     cfg = resolve_config(args)
-    data = build_dataset(cfg)
     t = cfg["decompose.t"]
-    samples = data.train_x[: cfg["spectrum.samples"]]
+    samples = first_train_images(cfg, cfg["spectrum.samples"])
     channels = samples.shape[1]
     r_values = range(1, channels + 1)
     tprime_values = range(1, t + 1)

@@ -31,6 +31,8 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 _MAX_CLASSES = 8
+# the share of a synthetic set held out for validation, by default
+VAL_FRACTION = 0.2
 # seeds the one fixed shuffle ahead of the IDX validation split, so a
 # class-sorted file still validates on every class
 _IDX_SPLIT_SEED = 0
@@ -129,7 +131,7 @@ def _texture_map(side: int) -> np.ndarray:
     return np.outer(signs, signs)
 
 
-def synthetic_dataset(
+def synthetic_images(
     n: int = 2000,
     num_classes: int = 4,
     rank: int = 3,
@@ -141,11 +143,17 @@ def synthetic_dataset(
     gamma: float = 0.1,
     texture_amp: float = 0.5,
     spread: float = 0.25,
-    val_fraction: float = 0.2,
-) -> Dataset:
-    """Class-structured images: smooth pair templates, a gamma-scaled
-    smooth within-pair offset, per-class high-frequency textures, shared
-    smooth variability of the given rank, and pixel noise."""
+    count: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(images, labels) of the first ``count`` samples (all n if None) of
+    the n-sample draw that ``synthetic_dataset`` splits.
+
+    Class-structured images: smooth pair templates, a gamma-scaled smooth
+    within-pair offset, per-class high-frequency textures, shared smooth
+    variability of the given rank, and pixel noise.  Every label is drawn
+    first, then each image in order from the same generator, so the first
+    ``count`` images are those of the whole draw and cost only their own.
+    """
     if num_classes < 2 or num_classes > _MAX_CLASSES:
         raise ValueError(f"num_classes must be in [2, {_MAX_CLASSES}]")
     if n < num_classes:
@@ -172,8 +180,9 @@ def synthetic_dataset(
 
     labels = np.arange(n) % num_classes
     rng.shuffle(labels)
-    xs = np.empty((n, channels, side, side))
-    for i in range(n):
+    count = n if count is None else min(count, n)
+    xs = np.empty((count, channels, side, side))
+    for i in range(count):
         cls = labels[i]
         pair, flip = cls // 2, 1.0 - 2.0 * (cls % 2)
         img = np.multiply.outer(u_pair, pair_maps[pair])
@@ -183,9 +192,20 @@ def synthetic_dataset(
             img = img + spread * rng.normal() * np.multiply.outer(u_common[k], common_maps[k])
         img = img + noise * rng.normal(size=img.shape)
         xs[i] = img
+    return xs, labels[:count]
 
-    n_val = int(round(n * val_fraction))
-    n_train = n - n_val
+
+def synthetic_train_count(n: int, val_fraction: float = VAL_FRACTION) -> int:
+    """How many of ``synthetic_dataset``'s n samples go to the training split."""
+    return n - int(round(n * val_fraction))
+
+
+def synthetic_dataset(n: int = 2000, num_classes: int = 4, *,
+                      val_fraction: float = VAL_FRACTION, **kwargs) -> Dataset:
+    """``synthetic_images``' n samples, the first ``synthetic_train_count``
+    for training and the rest for validation; ``kwargs`` go to it."""
+    xs, labels = synthetic_images(n, num_classes, **kwargs)
+    n_train = synthetic_train_count(n, val_fraction)
     return Dataset(
         train_x=xs[:n_train], train_y=labels[:n_train],
         val_x=xs[n_train:], val_y=labels[n_train:],

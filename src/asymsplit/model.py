@@ -142,12 +142,13 @@ class Conv2d(Layer):
 class LowRankConv2d(Layer):
     """Factorized conv: k x k into q channels, then 1 x 1 up to n."""
 
-    def __init__(self, prefix, in_ch, out_ch, k, q, stride=1, padding=0):
+    def __init__(self, prefix, in_ch, out_ch, k, q, stride=1, padding=0, input_grad=True):
         if q > out_ch:
             raise ValueError(f"rank q={q} exceeds output channels n={out_ch}")
         self.prefix = prefix
         self.in_ch, self.out_ch, self.k, self.q = in_ch, out_ch, k, q
         self.stride, self.padding = stride, padding
+        self.input_grad = input_grad
         self.key1, self.key2 = f"{prefix}/w1", f"{prefix}/w2"
 
     def tensors(self):
@@ -165,7 +166,9 @@ class LowRankConv2d(Layer):
     def backward(self, params, cache, gy, grads):
         x, mid = cache
         gmid, gw2 = conv2d_backward_batch(gy, mid, params[self.key2], 1, 0)
-        gx, gw1 = conv2d_backward_batch(gmid, x, params[self.key1], self.stride, self.padding)
+        gx, gw1 = conv2d_backward_batch(
+            gmid, x, params[self.key1], self.stride, self.padding, self.input_grad
+        )
         grads[self.key1] = grads.get(self.key1, 0) + gw1
         grads[self.key2] = grads.get(self.key2, 0) + gw2
         return gx
@@ -313,9 +316,9 @@ class ResBlock(Layer):
 
     ``body`` is conv1, norm1, ReLU, conv2, norm2 and ``skip`` is proj,
     proj_norm (empty for an identity skip); ``normalize=False`` leaves the
-    norms out.  With ``input_grad=False`` backward returns None; dense convs
-    that read the block's input (conv1 and proj) then skip their input
-    gradient.
+    norms out.  With ``input_grad=False`` backward returns None; the convs
+    that read the block's input (conv1, dense or factorized, and proj) then
+    skip their input gradient.
 
     An eval-mode pass keeps no cache and runs a memoized fold: each norm's
     affine a = scale / sqrt(running_var + eps) scales the rows of the kernel
@@ -338,7 +341,7 @@ class ResBlock(Layer):
         def conv(name, cin, s, ig=True):
             if q is None or k == 1:
                 return Conv2d(f"{prefix}/{name}", cin, n, k, s, k // 2, ig)
-            return LowRankConv2d(f"{prefix}/{name}", cin, n, k, q, s, k // 2)
+            return LowRankConv2d(f"{prefix}/{name}", cin, n, k, q, s, k // 2, ig)
 
         def norm(name):
             return [ChannelNorm(f"{prefix}/{name}", n)] if normalize else []
@@ -528,6 +531,12 @@ class Model:
             "main", spec.main_blocks, spec.bb_channels, spec.num_classes,
             spec.normalize, lowrank=True, input_grad=True,
         )
+        # the same main branch, built not to form the gradient of ir_main:
+        # stage 2 reads ir_main rows that the frozen backbone formed once
+        self._main_leaf = _build_branch(
+            "main", spec.main_blocks, spec.bb_channels, spec.num_classes,
+            spec.normalize, lowrank=True, input_grad=False,
+        )
         self.res = _build_branch(
             "res", spec.res_blocks, spec.bb_channels, spec.num_classes,
             spec.normalize, lowrank=False, input_grad=False,
@@ -555,8 +564,11 @@ class Model:
     def forward_main(self, params, buffers, ir_main, train):
         return self.main.forward(params, buffers, ir_main, train)
 
-    def backward_main(self, params, cache, gz, grads):
-        return self.main.backward(params, cache, gz, grads)
+    def backward_main(self, params, cache, gz, grads, input_grad=True):
+        """The main branch's weight gradients, and with ``input_grad`` the
+        gradient of ir_main (else None, never formed)."""
+        branch = self.main if input_grad else self._main_leaf
+        return branch.backward(params, cache, gz, grads)
 
     def forward_res(self, params, buffers, bits, train):
         # the public branch computes in float32, which holds its 0/1 bits

@@ -27,13 +27,26 @@ a time, ``perturb`` on one sample, with the caller's ``gen`` if given (a
 new Philox seeds an OS-entropy SeedSequence first, costly per request).
 No threads: two threads drawing Philox normals on two cores were no
 faster than one.
+
+Released bits stay bits at rest on the private side too: ``build_cache``
+packs each block's sign bits with ``pack_bits``, the layout the wire and
+the public store use, and ``ResidualCache`` keeps those packed blocks and
+a sorted id column, 256 B + 16 B per sample at (8, 16, 16) against the
+2048 B of one uint8 per bit.  A block's packed rows are formed as the
+block's last allocation, after its float noise and bool signs, which are
+freed at once.  That order is load-bearing: with one array for the whole
+release allocated up front, the freed block buffers were left at the heap
+top, glibc could return them to the OS after every block, and the next
+block's buffers then took first-touch page faults again (a whole release
+refaulting its 2 MB noise buffer per block).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,41 +172,77 @@ def quantize(ir_noisy) -> np.ndarray:
 
 
 # Released bits at rest and on the wire: one bit per value, channel-major,
-# most significant bit first, zero-padded to a whole byte.
+# most significant bit first, each sample zero-padded to a whole byte.
 
-def pack_bits(bits) -> bytes:
-    """A (c, h, w) tensor of 0/1 bits as its packed bytes."""
-    return np.packbits(np.asarray(bits, dtype=np.uint8).reshape(-1), bitorder="big").tobytes()
+def pack_bits(bits) -> np.ndarray:
+    """0/1 bits, one (c, h, w) tensor or a (b, c, h, w) block of them, as
+    packed uint8 rows: (nbytes,) or (b, nbytes), each row padded on its own."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    # positional arguments: numpy parses keywords about as long as it packs a sample
+    if bits.ndim == 3:
+        return np.packbits(bits, None, "big")
+    if bits.ndim == 4:
+        return np.packbits(bits.reshape(len(bits), math.prod(bits.shape[1:])), -1, "big")
+    raise ValueError(f"expected (c, h, w) or (b, c, h, w) bits, got {bits.shape}")
 
 
 def unpack_bits(packed: np.ndarray, shape) -> np.ndarray:
     """Rows of packed uint8 bytes (a leading axis or none) as 0/1 uint8
     bits, each row reshaped to the (c, h, w) ``shape``."""
-    bits = np.unpackbits(packed, axis=-1, count=math.prod(shape), bitorder="big")
-    return bits.reshape(*packed.shape[:-1], *shape)
+    shape = tuple(shape)
+    bits = np.unpackbits(packed, -1, math.prod(shape), "big")  # positional, as above
+    return bits.reshape(packed.shape[:-1] + shape)
 
 
-@dataclass
 class ResidualCache:
-    """Immutable store of one-shot quantized residual bits, keyed by sample id."""
+    """Immutable store of one-shot quantized residual bits, keyed by sample id.
 
-    _bits: MappingProxyType = field(repr=False)
+    Holds the release as ``build_cache`` formed it: one read-only packed
+    (b, ceil(c*h*w/8)) uint8 array per block, every block but the last of
+    the first's size, and two uint64 columns, the sample ids in ascending
+    order and the release-order row of each.  No Python object is kept per
+    sample; ``bits`` bisects the id column and unpacks one row.  Each
+    block is formed after its float temporaries, never preallocated for the
+    whole release (see the module docstring: that order keeps the freed
+    temporaries' pages mapped for the next block).
+    """
+
+    def __init__(self, shape, blocks, ids):
+        """``shape``: each sample's (c, h, w); ``blocks``: the packed rows
+        in release order; ``ids``: each row's distinct sample id, in the
+        same order."""
+        self._shape = shape
+        self._blocks = tuple(blocks)
+        self._step = len(self._blocks[0]) if self._blocks else 1
+        ids = np.asarray(ids, dtype=np.uint64)
+        order = np.argsort(ids, kind="stable")
+        self._ids = array("Q", ids[order].tobytes())
+        self._rows = array("Q", order.astype(np.uint64).tobytes())
+
+    def _find(self, sample_id) -> int:
+        """The position of ``sample_id`` in the id column, or -1."""
+        i = bisect_left(self._ids, sample_id)
+        return i if i < len(self._ids) and self._ids[i] == sample_id else -1
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return len(self._ids)
 
-    def __contains__(self, sample_id: int) -> bool:
-        return sample_id in self._bits
+    def __contains__(self, sample_id) -> bool:
+        return self._find(sample_id) >= 0
 
-    def ids(self):
-        return sorted(self._bits)
+    def ids(self) -> list:
+        return self._ids.tolist()
 
-    def bits(self, sample_id: int) -> np.ndarray:
-        """The cached bit tensor for one sample; never re-perturbs."""
-        try:
-            return self._bits[sample_id]
-        except KeyError:
-            raise KeyError(f"sample id {sample_id} not in cache") from None
+    def bits(self, sample_id) -> np.ndarray:
+        """The cached bit tensor for one sample, freshly unpacked and
+        read-only; never re-perturbs."""
+        i = self._find(sample_id)
+        if i < 0:
+            raise KeyError(f"sample id {sample_id} not in cache")
+        block, row = divmod(self._rows[i], self._step)
+        out = unpack_bits(self._blocks[block][row], self._shape)
+        out.setflags(write=False)
+        return out
 
 
 # residuals released per block: large enough to spread the per-call costs,
@@ -214,9 +263,11 @@ def build_cache(residuals, params: PrivacyParams | None, seed: int, sigma: float
 
     Blocks of at most RELEASE_CHUNK residuals (never the whole release)
     each get one stack, norm check, ``add_noise`` with its finiteness
-    check and ``quantize``; one re-keyed generator serves all of them:
-    ``gen``, a Philox generator of any key, if given, else a fresh one.  A
-    sample's bits, a read-only view into its block's, equal
+    check, ``quantize`` and ``pack_bits``; one re-keyed generator serves
+    all of them: ``gen``, a Philox generator of any key, if given, else a
+    fresh one.  Each block's packed rows are its last allocation (see the
+    module docstring), and the cache keeps only them and the id columns.  A
+    sample's bits, as ``ResidualCache.bits`` unpacks them, equal
     ``quantize(perturb(r, sigma, seed, sample_id))`` byte for byte.
     """
     if sigma is None:
@@ -233,7 +284,7 @@ def build_cache(residuals, params: PrivacyParams | None, seed: int, sigma: float
     # one generator for the whole release; add_noise re-keys it per sample
     if gen is None:
         gen = noise_stream(seed, 0)
-    store = {}
+    blocks = []
     for lo in range(0, len(keys), RELEASE_CHUNK):
         chunk = ids[lo : lo + RELEASE_CHUNK]
         block = np.stack([residuals[k] for k in keys[lo : lo + RELEASE_CHUNK]], dtype=np.float64)
@@ -245,7 +296,7 @@ def build_cache(residuals, params: PrivacyParams | None, seed: int, sigma: float
                     f"residual norm {norms[worst]} exceeds sensitivity bound C={params.C} "
                     f"for sample {chunk[worst]}"
                 )
-        bits = quantize(add_noise(np.empty_like(block), block, sigma, seed, chunk, gen))
-        bits.setflags(write=False)
-        store.update(zip(chunk, bits))
-    return ResidualCache(MappingProxyType(store))
+        packed = pack_bits(quantize(add_noise(np.empty_like(block), block, sigma, seed, chunk, gen)))
+        packed.setflags(write=False)
+        blocks.append(packed)
+    return ResidualCache(next(iter(shapes), None), blocks, ids)

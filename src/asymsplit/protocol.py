@@ -108,14 +108,25 @@ def rows_from_frame(frame: Frame) -> np.ndarray:
     return frame.data.reshape(frame.data.shape[0], frame.data.shape[1])
 
 
+def _residual_bits(data) -> np.ndarray:
+    """``data`` as uint8 bits, refused unless every value is exactly 0 or 1
+    (a cast first would turn 0.7, 1.9 and -0.5 into bits 0, 1 and 0); a
+    uint8 payload costs one reduction."""
+    data = np.asarray(data)
+    if data.dtype == np.bool_:
+        return data.view(np.uint8)
+    if data.dtype == np.uint8 and (data.size == 0 or data.max() <= 1):
+        return data
+    if data.dtype.kind in "iufc" and ((data == 0) | (data == 1)).all():
+        return data.astype(np.uint8)
+    raise ValueError("residual payload must be 0/1 bits")
+
+
 def encode_frame(frame: Frame) -> bytes:
     c, h, w = frame.data.shape
     header = _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, int(frame.kind), frame.frame_id, c, h, w)
     if frame.kind == FrameKind.RESIDUAL_BITS:
-        bits = np.asarray(frame.data, dtype=np.uint8)
-        if bits.size and bits.max() > 1:
-            raise ValueError("residual payload must be 0/1 bits")
-        payload = pack_bits(bits)
+        payload = pack_bits(_residual_bits(frame.data)).tobytes()
     else:
         payload = np.asarray(frame.data, dtype="<f8").tobytes()
     return header + payload

@@ -271,7 +271,9 @@ class Stage2Private:
             raise TrainingDiverged("stage-2 loss is not finite")
         g_main, g_res = private_backprop(z_main, z_res, yb1h, alpha)
         grads = {}
-        self.model.backward_main(self.params, cache, g_main / len(yb1h), grads)
+        self.model.backward_main(
+            self.params, cache, g_main / len(yb1h), grads, input_grad=False
+        )
         merged_loss += _orth_penalty(self.params, grads, self.cfg.orth_coeff)
         sgd_step(self.params, grads, self.cfg, self.state, self.lr)
         self._losses_main.append(merged_loss)

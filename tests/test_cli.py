@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from asymsplit import cli
 from asymsplit.cli import (
     UsageError,
     build_parser,
@@ -292,6 +293,40 @@ class TestSpectrumCmd:
         lines = (out / "spectrum.csv").read_text().splitlines()
         # three channels and t = 8 by default
         assert len(lines) == 1 + 3 + 8
+
+    @pytest.mark.parametrize("side, n", [(16, None), (64, 300)])
+    def test_draws_only_the_samples_it_reads(self, tmp_path, monkeypatch, side, n):
+        # the CSV is byte for byte the one from the whole data set's first
+        # samples, and no image past them is generated
+        flags = ["--data.side", str(side)] + (["--data.n", str(n)] if n else [])
+        whole = tmp_path / "whole"
+        with monkeypatch.context() as m:
+            m.setattr(cli, "first_train_images",
+                      lambda cfg, k: cli.build_dataset(cfg).train_x[:k])
+            assert main(["spectrum", *flags, "--out", str(whole)]) == 0
+        counts = []
+        real = cli.synthetic_images
+
+        def spy(**kwargs):
+            counts.append(kwargs["count"])
+            return real(**kwargs)
+
+        def refuse(**kwargs):
+            raise AssertionError("spectrum built the whole data set")
+
+        monkeypatch.setattr(cli, "synthetic_images", spy)
+        monkeypatch.setattr(cli, "synthetic_dataset", refuse)
+        head = tmp_path / "head"
+        assert main(["spectrum", *flags, "--out", str(head)]) == 0
+        assert counts == [32]
+        assert (head / "spectrum.csv").read_bytes() == (whole / "spectrum.csv").read_bytes()
+
+    def test_samples_capped_at_the_training_split(self, tmp_path, capsys):
+        out = tmp_path / "runS"
+        rc = main(["spectrum", "--data.n", "40", "--spectrum.samples", "100",
+                   "--out", str(out)])
+        assert rc == 0
+        assert "spectrum over 32 samples" in capsys.readouterr().out
 
     def test_class_means_are_low_rank_by_construction(self):
         data = synthetic_dataset(n=400, rank=3, seed=5)

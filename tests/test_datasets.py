@@ -11,6 +11,7 @@ from asymsplit.datasets import (
     load_idx_images,
     load_idx_labels,
     synthetic_dataset,
+    synthetic_images,
 )
 
 
@@ -125,6 +126,18 @@ class TestSynthetic:
         assert data.val_x.shape == (16, 3, 16, 16)
         counts = np.bincount(np.concatenate([data.train_y, data.val_y]), minlength=4)
         np.testing.assert_array_equal(counts, [20, 20, 20, 20])
+
+    @pytest.mark.parametrize("side", [16, 64])
+    def test_first_images_are_a_prefix_of_the_whole_draw(self, side):
+        # labels are drawn first, then each image in order from one
+        # generator: a prefix of the draw needs none of the images after it
+        whole = synthetic_dataset(n=120, seed=4, side=side)
+        xs = np.concatenate([whole.train_x, whole.val_x])
+        ys = np.concatenate([whole.train_y, whole.val_y])
+        for count in (0, 1, 33, 96, 120, 500):
+            head, labels = synthetic_images(n=120, seed=4, side=side, count=count)
+            assert head.tobytes() == xs[:count].tobytes()
+            assert labels.tobytes() == ys[:count].tobytes()
 
     def test_deterministic(self):
         a = synthetic_dataset(n=40, seed=11)

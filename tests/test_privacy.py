@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -15,9 +16,12 @@ from asymsplit.privacy import (
     build_cache,
     calibrate,
     noise_stream,
+    pack_bits,
     perturb,
     quantize,
+    unpack_bits,
 )
+from asymsplit.protocol import Frame, FrameKind, encode_frame
 
 
 def oracle_amplify(eps_prime, delta_prime, p):
@@ -346,3 +350,65 @@ class TestBlockRelease:
     def test_rejects_residual_without_three_axes(self):
         with pytest.raises(ValueError, match=r"\(c, h, w\)"):
             build_cache({0: np.zeros((4, 4))}, None, seed=0, sigma=0.7)
+
+
+class TestBitLayout:
+    @pytest.mark.parametrize("shape", [(3, 1, 3, 3), (5, 2, 3, 5), (4, 1, 1, 1), (2, 8, 16, 16)])
+    @pytest.mark.parametrize("fill", ["random", "ones"])
+    def test_block_rows_pack_one_sample_each(self, shape, fill):
+        # c*h*w is not a multiple of 8 except at (8, 16, 16): each row is
+        # padded to whole bytes on its own, with zeros
+        rng = np.random.default_rng(sum(shape))
+        block = (rng.integers(0, 2, size=shape) if fill == "random"
+                 else np.ones(shape)).astype(np.uint8)
+        count = math.prod(shape[1:])
+        packed = pack_bits(block)
+        assert packed.dtype == np.uint8 and packed.shape == (shape[0], -(-count // 8))
+        assert not np.unpackbits(packed, axis=-1)[:, count:].any()
+        assert unpack_bits(packed, shape[1:]).tobytes() == block.tobytes()
+        for j, bits in enumerate(block):
+            # the row is the sample's own packing and the payload its frame carries
+            assert packed[j].tobytes() == pack_bits(bits).tobytes()
+            raw = encode_frame(Frame(FrameKind.RESIDUAL_BITS, j, bits))
+            assert raw[-packed.shape[1]:] == packed[j].tobytes()
+            assert unpack_bits(packed[j], shape[1:]).tobytes() == bits.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (1, 2, 2, 2, 2)])
+    def test_pack_needs_one_sample_or_a_block(self, shape):
+        with pytest.raises(ValueError, match=r"\(c, h, w\)"):
+            pack_bits(np.zeros(shape, np.uint8))
+
+
+class TestPackedCache:
+    def test_holds_about_one_bit_per_value(self):
+        # 2048 released bits per (8, 16, 16) sample: their 256-byte packed
+        # row and 16 B of id columns, not one uint8 per bit (2231 B before)
+        residuals = unit_residuals(range(1024), shape=(8, 16, 16))
+        build_cache(residuals, BENCH_PARAMS, seed=3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = build_cache(residuals, BENCH_PARAMS, seed=3)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 1024
+        assert held / len(cache) <= 300, held / len(cache)
+
+    def test_bits_fresh_read_only_and_exact_across_blocks(self):
+        # ids arrive out of order across three blocks: every sample reads
+        # back its own bits, as a new read-only array per call
+        ids = [5 * i for i in range(2 * RELEASE_CHUNK + 7)][::-1]
+        residuals = unit_residuals(ids, shape=(3, 5, 7))
+        cache = build_cache(residuals, None, seed=4, sigma=0.7)
+        assert cache.ids() == sorted(ids) and len(cache) == len(ids)
+        for sample_id, r in residuals.items():
+            got = cache.bits(sample_id)
+            want = quantize(perturb(r, 0.7, 4, sample_id))
+            assert got.shape == (3, 5, 7) and got.dtype == np.uint8
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+            assert cache.bits(sample_id) is not got
+        for absent in (1, -5, 5 * len(ids), 2**64):
+            assert absent not in cache
+            with pytest.raises(KeyError):
+                cache.bits(absent)

@@ -12,11 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_driver import train_in_process
 
-from asymsplit import protocol
+from asymsplit import numerics, protocol
 from asymsplit.datasets import synthetic_dataset
 from asymsplit.decompose import DecompositionConfig, decompose_main_batch
 from asymsplit.model import (
     Model,
+    ResBlock,
     default_spec,
     forward_full,
     load_checkpoint,
@@ -126,6 +127,25 @@ class TestFrameCodec:
         bad = np.full((1, 2, 2), 2, dtype=np.uint8)
         with pytest.raises(ValueError, match="0/1"):
             encode_frame(Frame(FrameKind.RESIDUAL_BITS, 0, bad))
+
+    @pytest.mark.parametrize("value, dtype", [
+        (0.7, np.float64), (1.9, np.float64), (-0.5, np.float64), (np.nan, np.float64),
+        (np.nan, np.float32), (-1, np.int8), (2, np.int64), (2, np.uint16), (1 + 1j, np.complex128),
+    ])
+    def test_rejects_values_that_are_not_exact_bits(self, value, dtype):
+        # a cast to uint8 ahead of the check once sent 0.7, 1.9 and -0.5 as
+        # bits 0, 1 and 0
+        bad = np.zeros((1, 2, 2), dtype=dtype)
+        bad[0, 1, 0] = value
+        with pytest.raises(ValueError, match="residual payload must be 0/1 bits"):
+            encode_frame(Frame(FrameKind.RESIDUAL_BITS, 0, bad))
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int64, np.float32, np.float64])
+    def test_exact_bits_of_any_dtype_encode_as_uint8(self, dtype):
+        bits = np.array([1, 0, 1, 1], dtype=np.uint8).reshape(1, 2, 2)
+        assert encode_frame(Frame(FrameKind.RESIDUAL_BITS, 3, bits.astype(dtype))) == (
+            encode_frame(Frame(FrameKind.RESIDUAL_BITS, 3, bits))
+        )
 
     def test_kind_four_rejected_by_socket(self):
         raw = bytearray(encode_frame(Frame(FrameKind.LOGITS, 0, np.zeros((0, 0, 0)))))
@@ -800,6 +820,62 @@ class TamperingChannel(MemoryChannel):
         if frame.kind == FrameKind.LOGITS:
             raw = encode_frame(Frame(frame.kind, frame.frame_id, self.cut(frame.data)))
         super().send(sender, raw)
+
+
+class TestStage2MainGradient:
+    """Stage 2 reads ir_main rows the frozen backbone formed once, so the
+    main branch's backward forms no gradient of ir_main there."""
+
+    def test_no_col2im_under_main_b0_in_stage2(self, monkeypatch):
+        # main/b0's factorized conv1 and its proj are stride 2: their input
+        # gradients are one col2im each, in stage 1 only
+        wires, blocks, seen = record_wires(monkeypatch), [], []
+        real_backward, real_col2im = ResBlock.backward, numerics.col2im
+
+        def block_spy(self, *args):
+            blocks.append(self.prefix)
+            try:
+                return real_backward(self, *args)
+            finally:
+                blocks.pop()
+
+        def col2im_spy(*args):
+            seen.append((wires[0].phase, blocks[-1] if blocks else None))
+            return real_col2im(*args)
+
+        monkeypatch.setattr(ResBlock, "backward", block_spy)
+        monkeypatch.setattr(numerics, "col2im", col2im_spy)
+        data, model, params, buffers, cfg = tiny_setup(ep1=1, ep2=2, epsilon=0.5)
+        run_split_training(model, params, buffers, data, DCFG, cfg)
+        batches = -(-len(data.train_x) // cfg.batch_size)
+        assert seen.count(("stage1", "main/b0")) == 2 * cfg.ep1 * batches
+        assert ("stage2", "main/b0") not in seen
+        assert ("stage2", "main/b1") in seen
+
+    def test_stage2_weight_gradients_bitwise_unchanged(self, monkeypatch):
+        # each stage-2 step's main-branch gradients equal, bit for bit, those
+        # the same backward forms together with ir_main's gradient
+        pairs, real = [], Model.backward_main
+
+        def both(self, params, cache, gz, grads, input_grad=True):
+            if input_grad:
+                return real(self, params, cache, gz, grads)
+            full = {}
+            assert real(self, params, cache, gz, full) is not None
+            out = real(self, params, cache, gz, grads, input_grad=False)
+            pairs.append((full, dict(grads)))
+            return out
+
+        monkeypatch.setattr(Model, "backward_main", both)
+        data, model, params, buffers, cfg = tiny_setup(ep1=1, ep2=2, epsilon=0.5)
+        run_split_training(model, params, buffers, data, DCFG, cfg)
+        assert len(pairs) == cfg.ep2 * -(-len(data.train_x) // cfg.batch_size)
+        for full, skipped in pairs:
+            assert full.keys() == skipped.keys()
+            assert {k for k in full if k.startswith("main/b0/")} >= {
+                "main/b0/conv1/w1", "main/b0/conv1/w2", "main/b0/proj/w"}
+            for key in full:
+                assert full[key].tobytes() == skipped[key].tobytes(), key
 
 
 class TestMisshapedFrames:
