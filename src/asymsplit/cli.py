@@ -438,7 +438,7 @@ def cmd_infer(args) -> int:
 
     wire = Wire()
     private = PrivateEndpoint(model, private_params, private_buffers, dcfg, tcfg, wire)
-    public = PublicEndpoint(model, public_params, public_buffers, tcfg, wire)
+    public = PublicEndpoint(model, public_params, public_buffers)
     preds = run_split_inference(private, public, xs, sigma=sigma)
     for pred in preds:
         print(int(pred))

@@ -58,9 +58,10 @@ DENSE_MAX_INPUT = 512
 #     them in declaration order, and tensor_shapes() reads their shapes
 #     without allocating;
 #   forward(params, buffers, x, train) -> (y, cache);
-#   backward(params, cache, gy, grads) -> gx, accumulating into grads
-#     (gx is None for a Conv2d or ResBlock built with input_grad=False,
-#     whose input is a leaf of the graph);
+#   backward(params, cache, gy, grads) -> gx, accumulating into grads.
+#     A layer that can read a network's input (Conv2d, LowRankConv2d,
+#     ResBlock, Sequential) also takes input_grad: with False its input is
+#     a leaf of the graph, and gx is None and never formed;
 #   macs(in_shape) -> (multiply-accumulate count, out_shape).
 # Every layer defines forward and backward in its own class body, where
 # per-class tracing looks them up.
@@ -113,11 +114,10 @@ def _conv_macs(conv, in_shape, per_position):
 
 
 class Conv2d(Layer):
-    def __init__(self, prefix, in_ch, out_ch, k, stride=1, padding=0, input_grad=True):
+    def __init__(self, prefix, in_ch, out_ch, k, stride=1, padding=0):
         self.prefix = prefix
         self.in_ch, self.out_ch, self.k = in_ch, out_ch, k
         self.stride, self.padding = stride, padding
-        self.input_grad = input_grad
         self.key = f"{prefix}/w"
 
     def tensors(self):
@@ -128,9 +128,9 @@ class Conv2d(Layer):
         y = conv2d_forward_batch(x, params[self.key], self.stride, self.padding)
         return y, x
 
-    def backward(self, params, cache, gy, grads):
+    def backward(self, params, cache, gy, grads, input_grad=True):
         gx, gw = conv2d_backward_batch(
-            gy, cache, params[self.key], self.stride, self.padding, self.input_grad
+            gy, cache, params[self.key], self.stride, self.padding, input_grad
         )
         grads[self.key] = grads.get(self.key, 0) + gw
         return gx
@@ -142,13 +142,12 @@ class Conv2d(Layer):
 class LowRankConv2d(Layer):
     """Factorized conv: k x k into q channels, then 1 x 1 up to n."""
 
-    def __init__(self, prefix, in_ch, out_ch, k, q, stride=1, padding=0, input_grad=True):
+    def __init__(self, prefix, in_ch, out_ch, k, q, stride=1, padding=0):
         if q > out_ch:
             raise ValueError(f"rank q={q} exceeds output channels n={out_ch}")
         self.prefix = prefix
         self.in_ch, self.out_ch, self.k, self.q = in_ch, out_ch, k, q
         self.stride, self.padding = stride, padding
-        self.input_grad = input_grad
         self.key1, self.key2 = f"{prefix}/w1", f"{prefix}/w2"
 
     def tensors(self):
@@ -163,11 +162,11 @@ class LowRankConv2d(Layer):
         y = conv2d_forward_batch(mid, params[self.key2], 1, 0)
         return y, (x, mid)
 
-    def backward(self, params, cache, gy, grads):
+    def backward(self, params, cache, gy, grads, input_grad=True):
         x, mid = cache
         gmid, gw2 = conv2d_backward_batch(gy, mid, params[self.key2], 1, 0)
         gx, gw1 = conv2d_backward_batch(
-            gmid, x, params[self.key1], self.stride, self.padding, self.input_grad
+            gmid, x, params[self.key1], self.stride, self.padding, input_grad
         )
         grads[self.key1] = grads.get(self.key1, 0) + gw1
         grads[self.key2] = grads.get(self.key2, 0) + gw2
@@ -282,7 +281,9 @@ class Linear(Layer):
 
 
 class Sequential(Layer):
-    """Layers applied in order; their tensors and rng draws follow it."""
+    """Layers applied in order; their tensors and rng draws follow it.
+    Backward hands ``input_grad`` to the first layer only, the one that
+    reads the input; with no layers (the identity) gx is gy, or None."""
 
     def __init__(self, layers):
         self.layers = list(layers)
@@ -297,10 +298,12 @@ class Sequential(Layer):
             caches.append(cache)
         return x, caches
 
-    def backward(self, params, caches, gy, grads):
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
+    def backward(self, params, caches, gy, grads, input_grad=True):
+        if not self.layers:
+            return gy if input_grad else None
+        for layer, cache in zip(reversed(self.layers[1:]), reversed(caches[1:])):
             gy = layer.backward(params, cache, gy, grads)
-        return gy
+        return self.layers[0].backward(params, caches[0], gy, grads, input_grad)
 
     def macs(self, in_shape):
         total = 0
@@ -316,7 +319,7 @@ class ResBlock(Layer):
 
     ``body`` is conv1, norm1, ReLU, conv2, norm2 and ``skip`` is proj,
     proj_norm (empty for an identity skip); ``normalize=False`` leaves the
-    norms out.  With ``input_grad=False`` backward returns None; the convs
+    norms out.  Backward with ``input_grad=False`` returns None; the convs
     that read the block's input (conv1, dense or factorized, and proj) then
     skip their input gradient.
 
@@ -334,22 +337,21 @@ class ResBlock(Layer):
     fold is bitwise the unfolded pass, and a matrix would reassociate sums.
     """
 
-    def __init__(self, prefix, in_ch, n, k, stride, q=None, normalize=True, input_grad=True):
-        self.prefix = prefix
-        self.input_grad, self.normalize = input_grad, normalize
+    def __init__(self, prefix, in_ch, n, k, stride, q=None, normalize=True):
+        self.prefix, self.normalize = prefix, normalize
 
-        def conv(name, cin, s, ig=True):
+        def conv(name, cin, s):
             if q is None or k == 1:
-                return Conv2d(f"{prefix}/{name}", cin, n, k, s, k // 2, ig)
-            return LowRankConv2d(f"{prefix}/{name}", cin, n, k, q, s, k // 2, ig)
+                return Conv2d(f"{prefix}/{name}", cin, n, k, s, k // 2)
+            return LowRankConv2d(f"{prefix}/{name}", cin, n, k, q, s, k // 2)
 
         def norm(name):
             return [ChannelNorm(f"{prefix}/{name}", n)] if normalize else []
 
-        self.body = Sequential([conv("conv1", in_ch, stride, input_grad), *norm("norm1"),
+        self.body = Sequential([conv("conv1", in_ch, stride), *norm("norm1"),
                                 ReLU(), conv("conv2", n, 1), *norm("norm2")])
         self.skip = Sequential(
-            [Conv2d(f"{prefix}/proj", in_ch, n, 1, stride, 0, input_grad), *norm("proj_norm")]
+            [Conv2d(f"{prefix}/proj", in_ch, n, 1, stride, 0), *norm("proj_norm")]
             if in_ch != n or stride != 1 else []
         )
         self.relu = ReLU()
@@ -403,12 +405,12 @@ class ResBlock(Layer):
         return ([_dense(body[:cut], shape), None, _dense(body[cut + 1:], mid)],
                 [_dense(skip, shape)] if skip else [])
 
-    def backward(self, params, cache, gy, grads):
+    def backward(self, params, cache, gy, grads, input_grad=True):
         body_cache, skip_cache, relu_cache = cache
         g = self.relu.backward(params, relu_cache, gy, grads)
-        gx = self.body.backward(params, body_cache, g, grads)
-        gs = self.skip.backward(params, skip_cache, g, grads)
-        return gx + gs if self.input_grad else None
+        gx = self.body.backward(params, body_cache, g, grads, input_grad)
+        gs = self.skip.backward(params, skip_cache, g, grads, input_grad)
+        return gx + gs if input_grad else None
 
     def macs(self, in_shape):
         total, shape = self.body.macs(in_shape)
@@ -493,9 +495,8 @@ def default_spec(r: int = 4, num_classes: int = 4, alpha: float = 1.0,
     )
 
 
-def _build_branch(prefix, blocks, in_ch, num_classes, normalize, lowrank, input_grad):
-    """A branch of ResBlocks, pooling and a linear head; ``input_grad`` says
-    whether backward forms the gradient of the branch input."""
+def _build_branch(prefix, blocks, in_ch, num_classes, normalize, lowrank):
+    """A branch of ResBlocks, pooling and a linear head."""
     layers = []
     ch = in_ch
     for i, blk in enumerate(blocks):
@@ -503,7 +504,6 @@ def _build_branch(prefix, blocks, in_ch, num_classes, normalize, lowrank, input_
             ResBlock(
                 f"{prefix}/b{i}", ch, blk.n, blk.k, blk.stride,
                 q=blk.q if lowrank else None, normalize=normalize,
-                input_grad=input_grad or i > 0,
             )
         )
         ch = blk.n
@@ -524,22 +524,15 @@ class Model:
         # (backward_backbone and backward_res return None).  Stage 1 passes
         # the main branch's input gradient on to the backbone.
         self.backbone = Sequential([
-            Conv2d("bb/conv", spec.in_channels, spec.bb_channels, spec.bb_k, 1, "same",
-                   input_grad=False)
+            Conv2d("bb/conv", spec.in_channels, spec.bb_channels, spec.bb_k, 1, "same")
         ])
         self.main = _build_branch(
             "main", spec.main_blocks, spec.bb_channels, spec.num_classes,
-            spec.normalize, lowrank=True, input_grad=True,
-        )
-        # the same main branch, built not to form the gradient of ir_main:
-        # stage 2 reads ir_main rows that the frozen backbone formed once
-        self._main_leaf = _build_branch(
-            "main", spec.main_blocks, spec.bb_channels, spec.num_classes,
-            spec.normalize, lowrank=True, input_grad=False,
+            spec.normalize, lowrank=True,
         )
         self.res = _build_branch(
             "res", spec.res_blocks, spec.bb_channels, spec.num_classes,
-            spec.normalize, lowrank=False, input_grad=False,
+            spec.normalize, lowrank=False,
         )
 
     def _networks(self):
@@ -559,16 +552,16 @@ class Model:
         return self.backbone.forward(params, buffers, x, train)
 
     def backward_backbone(self, params, cache, gy, grads):
-        return self.backbone.backward(params, cache, gy, grads)
+        return self.backbone.backward(params, cache, gy, grads, False)
 
     def forward_main(self, params, buffers, ir_main, train):
         return self.main.forward(params, buffers, ir_main, train)
 
     def backward_main(self, params, cache, gz, grads, input_grad=True):
         """The main branch's weight gradients, and with ``input_grad`` the
-        gradient of ir_main (else None, never formed)."""
-        branch = self.main if input_grad else self._main_leaf
-        return branch.backward(params, cache, gz, grads)
+        gradient of ir_main (else None, never formed: stage 2 reads ir_main
+        rows that the frozen backbone formed once)."""
+        return self.main.backward(params, cache, gz, grads, input_grad)
 
     def forward_res(self, params, buffers, bits, train):
         # the public branch computes in float32, which holds its 0/1 bits
@@ -577,7 +570,7 @@ class Model:
         return self.res.forward(params, buffers, np.asarray(bits, dtype=np.float32), train)
 
     def backward_res(self, params, cache, gz, grads):
-        return self.res.backward(params, cache, gz, grads)
+        return self.res.backward(params, cache, gz, grads, False)
 
 
 def count_macs(spec: ModelSpec, image_hw, dcfg) -> dict:

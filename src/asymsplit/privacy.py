@@ -30,11 +30,11 @@ faster than one.
 
 Released bits stay bits at rest on the private side too: ``build_cache``
 packs each block's sign bits with ``pack_bits``, the layout the wire and
-the public store use, and ``ResidualCache`` keeps those packed blocks and
-a sorted id column, 256 B + 16 B per sample at (8, 16, 16) against the
-2048 B of one uint8 per bit.  A block's packed rows are formed as the
-block's last allocation, after its float noise and bool signs, which are
-freed at once.  That order is load-bearing: with one array for the whole
+the public store use, and ``ResidualCache`` keeps those packed blocks, in
+ascending id order, and their id column, 256 B + 8 B per sample at
+(8, 16, 16) against the 2048 B of one uint8 per bit.  A block's packed
+rows are formed as the block's last allocation, after its float noise and
+bool signs, which are freed at once.  That order is load-bearing: with one array for the whole
 release allocated up front, the freed block buffers were left at the heap
 top, glibc could return them to the OS after every block, and the next
 block's buffers then took first-touch page faults again (a whole release
@@ -44,6 +44,7 @@ refaulting its 2 MB noise buffer per block).
 from __future__ import annotations
 
 import math
+import operator as op
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -178,12 +179,11 @@ def pack_bits(bits) -> np.ndarray:
     """0/1 bits, one (c, h, w) tensor or a (b, c, h, w) block of them, as
     packed uint8 rows: (nbytes,) or (b, nbytes), each row padded on its own."""
     bits = np.asarray(bits, dtype=np.uint8)
+    if bits.ndim not in (3, 4):
+        raise ValueError(f"expected (c, h, w) or (b, c, h, w) bits, got {bits.shape}")
+    rows = bits.reshape(*bits.shape[:-3], math.prod(bits.shape[-3:]))
     # positional arguments: numpy parses keywords about as long as it packs a sample
-    if bits.ndim == 3:
-        return np.packbits(bits, None, "big")
-    if bits.ndim == 4:
-        return np.packbits(bits.reshape(len(bits), math.prod(bits.shape[1:])), -1, "big")
-    raise ValueError(f"expected (c, h, w) or (b, c, h, w) bits, got {bits.shape}")
+    return np.packbits(rows, -1, "big")
 
 
 def unpack_bits(packed: np.ndarray, shape) -> np.ndarray:
@@ -199,25 +199,21 @@ class ResidualCache:
 
     Holds the release as ``build_cache`` formed it: one read-only packed
     (b, ceil(c*h*w/8)) uint8 array per block, every block but the last of
-    the first's size, and two uint64 columns, the sample ids in ascending
-    order and the release-order row of each.  No Python object is kept per
-    sample; ``bits`` bisects the id column and unpacks one row.  Each
+    the first's size, their rows in ascending sample-id order, and a uint64
+    column of those ids.  No Python object is kept per sample; ``bits``
+    bisects the id column and unpacks the row at that position.  Each
     block is formed after its float temporaries, never preallocated for the
     whole release (see the module docstring: that order keeps the freed
     temporaries' pages mapped for the next block).
     """
 
     def __init__(self, shape, blocks, ids):
-        """``shape``: each sample's (c, h, w); ``blocks``: the packed rows
-        in release order; ``ids``: each row's distinct sample id, in the
-        same order."""
+        """``shape``: each sample's (c, h, w); ``blocks``: the packed rows;
+        ``ids``: each row's sample id, strictly ascending."""
         self._shape = shape
         self._blocks = tuple(blocks)
         self._step = len(self._blocks[0]) if self._blocks else 1
-        ids = np.asarray(ids, dtype=np.uint64)
-        order = np.argsort(ids, kind="stable")
-        self._ids = array("Q", ids[order].tobytes())
-        self._rows = array("Q", order.astype(np.uint64).tobytes())
+        self._ids = array("Q", ids)
 
     def _find(self, sample_id) -> int:
         """The position of ``sample_id`` in the id column, or -1."""
@@ -239,7 +235,7 @@ class ResidualCache:
         i = self._find(sample_id)
         if i < 0:
             raise KeyError(f"sample id {sample_id} not in cache")
-        block, row = divmod(self._rows[i], self._step)
+        block, row = divmod(i, self._step)
         out = unpack_bits(self._blocks[block][row], self._shape)
         out.setflags(write=False)
         return out
@@ -254,9 +250,11 @@ def build_cache(residuals, params: PrivacyParams | None, seed: int, sigma: float
                 gen: np.random.Generator | None = None) -> ResidualCache:
     """Perturb and quantize every residual exactly once.
 
-    ``residuals`` maps sample id -> normalized residual tensor.  Each
-    sample's noise comes from the (seed, sample id) stream, so the result
-    is identical no matter how the mapping is ordered or chunked.
+    ``residuals`` maps sample id -> normalized residual tensor; the ids
+    must be distinct uint64 values.  Each sample's noise comes from the
+    (seed, sample id) stream, so the result is identical no matter how the
+    mapping is ordered or chunked: blocks take the samples in ascending id
+    order.
     ``sigma`` overrides the calibrated scale (used for the no-noise
     ablation); otherwise params.sigma applies, and every residual must
     respect the sensitivity bound params.C.
@@ -274,8 +272,11 @@ def build_cache(residuals, params: PrivacyParams | None, seed: int, sigma: float
         if params is None:
             raise ValueError("either params or an explicit sigma is required")
         sigma = params.sigma
-    keys = list(residuals)
-    ids = [_uint64("sample id", k) for k in keys]
+    id_of = {k: _uint64("sample id", k) for k in residuals}
+    keys = sorted(id_of, key=id_of.get)
+    ids = [id_of[k] for k in keys]
+    if any(map(op.eq, ids, ids[1:])):
+        raise ValueError("sample ids of one release repeat")
     shapes = {np.shape(residuals[k]) for k in keys}
     if len(shapes) > 1:
         raise ValueError(f"residuals of one release differ in shape: {sorted(shapes)}")

@@ -370,11 +370,7 @@ def audit(transcript: Transcript) -> AuditReport:
     violations = []
     residual_payload = residual_values = 0
     for entry in transcript.entries:
-        allowed = PHASE_WHITELIST.get(entry.phase)
-        if allowed is None:
-            violations.append((entry.index, f"unknown phase {entry.phase!r}"))
-            continue
-        if entry.kind not in allowed:
+        if entry.kind not in PHASE_WHITELIST[entry.phase]:
             violations.append(
                 (entry.index,
                  f"frame kind {entry.kind!r} not allowed in phase {entry.phase!r}")
@@ -452,8 +448,6 @@ def split_params(params: dict, buffers: dict):
 class PrivateEndpoint:
     """Owns M_bb and M_main; raw features and labels never leave it."""
 
-    role = "private"
-
     def __init__(self, model: Model, params, buffers, dcfg: DecompositionConfig,
                  cfg: TrainConfig, wire: Wire):
         self.model, self.params, self.buffers = model, params, buffers
@@ -473,11 +467,8 @@ class PublicEndpoint:
     ``store`` maps each sample id to the packed payload of the frame that
     carried its bits."""
 
-    role = "public"
-
-    def __init__(self, model: Model, params, buffers, cfg: TrainConfig, wire: Wire):
+    def __init__(self, model: Model, params, buffers):
         self.model, self.params, self.buffers = model, params, buffers
-        self.cfg, self.wire = cfg, wire
         self.store = {}
 
     def res_logits(self, bits: np.ndarray) -> np.ndarray:
@@ -491,7 +482,9 @@ class PublicEndpoint:
 
 def run_split_inference(private: PrivateEndpoint, public: PublicEndpoint, xs,
                         sigma: float = 0.0) -> np.ndarray:
-    """Per-sample inference over the wire; predictions stay private."""
+    """Per-sample inference over the wire; predictions stay private.  A
+    logits frame with a non-finite value is a protocol violation: argmax
+    would pick a NaN's position, or an infinity's, as the class."""
     wire = private.wire
     wire.phase = "inference"
     spec = private.model.spec
@@ -509,6 +502,8 @@ def run_split_inference(private: PrivateEndpoint, public: PublicEndpoint, xs,
 
         z_frame = wire.recv("private", FrameKind.LOGITS, (1, spec.num_classes, 1))
         z_res = rows_from_frame(z_frame)[0]
+        if not np.isfinite(z_res).all():
+            raise ProtocolViolation(f"private endpoint got non-finite logits for request {i}")
         preds[i] = int(np.argmax(z_main + spec.alpha * z_res))
     return preds
 
@@ -520,7 +515,8 @@ def run_split_training(model: Model, params, buffers, data,
 
     Returns (report, wire, private, public).  There is no per-epoch
     evaluation: the wire carries exactly the frames the protocol defines,
-    nothing else.  Score the trained endpoints with ``training.evaluate``.
+    nothing else.  ``asymsplit train`` scores the trained endpoints with
+    ``training.evaluate_main`` and ``run_split_inference``.
     """
     if cfg.ep2 > 0 and not cfg.quantize:
         raise ProtocolViolation(
@@ -530,7 +526,7 @@ def run_split_training(model: Model, params, buffers, data,
     wire = Wire(channel)
     (priv_p, priv_b), (pub_p, pub_b) = split_params(params, buffers)
     private = PrivateEndpoint(model, priv_p, priv_b, dcfg, cfg, wire)
-    public = PublicEndpoint(model, pub_p, pub_b, cfg, wire)
+    public = PublicEndpoint(model, pub_p, pub_b)
 
     report = TrainReport()
     n = len(data.train_x)
@@ -583,9 +579,7 @@ def run_split_training(model: Model, params, buffers, data,
         stepper_private = Stage2Private(
             model, private.params, private.buffers, cfg, state_private, report
         )
-        stepper_public = Stage2Public(
-            model, public.params, public.buffers, public.store, cfg, SgdState(), bits_shape
-        )
+        stepper_public = Stage2Public(model, public.params, public.buffers, cfg, SgdState())
         k = model.spec.num_classes
         y1h = one_hot(data.train_y, k)
         for epoch in range(cfg.ep2):
@@ -597,7 +591,11 @@ def run_split_training(model: Model, params, buffers, data,
                 zip(schedule_private, schedule_public)
             ):
                 stepper_private.prepare(main_rows[idx_priv], y1h[idx_priv])
-                z_res = stepper_public.logits(idx_pub)
+                # the public side unpacks each batch's released bits once
+                packed = b"".join(public.store[int(i)] for i in idx_pub)
+                bits = unpack_bits(np.frombuffer(packed, np.uint8).reshape(len(idx_pub), -1),
+                                   bits_shape)
+                z_res = stepper_public.logits(bits)
                 wire.send("public", frame_from_rows(FrameKind.LOGITS, batch_no, z_res))
 
                 z_frame = wire.recv("private", FrameKind.LOGITS, (len(idx_priv), k, 1))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .decompose import decompose_batch, decompose_main_adjoint, decompose_main_batch
 from .model import Model, orth_reg, private_forward, softmax
-from .privacy import add_noise, calibrate, noise_stream, quantize, unpack_bits
+from .privacy import add_noise, calibrate, noise_stream, quantize
 
 # validation-time noise streams live in their own key range so they can
 # never collide with (seed, train sample id) cache streams
@@ -286,18 +286,12 @@ class Stage2Private:
 
 
 class Stage2Public:
-    """Public-side batch step: residual logits from cached bits, then the
-    received gradient applied to the residual branch.
+    """Public-side batch step: residual logits from the batch's released
+    bits, then the received gradient applied to the residual branch."""
 
-    Given a (c, h, w) ``bits_shape``, each ``store`` entry is a sample's
-    packed bits (``privacy.pack_bits``), unpacked one batch at a time;
-    without it, each entry is the residual branch's input tensor itself.
-    """
-
-    def __init__(self, model, params, buffers, store, cfg, state, bits_shape=None):
+    def __init__(self, model, params, buffers, cfg, state):
         self.model, self.params, self.buffers = model, params, buffers
-        self.store, self.cfg, self.state = store, cfg, state
-        self.bits_shape = bits_shape
+        self.cfg, self.state = cfg, state
         self.lr = cfg.lr
         self._cache = None
         self._batch = 0
@@ -305,15 +299,10 @@ class Stage2Public:
     def begin_epoch(self, epoch: int) -> None:
         self.lr = cosine_lr(self.cfg.lr, epoch, self.cfg.ep2)
 
-    def logits(self, sample_ids) -> np.ndarray:
-        entries = [self.store[int(i)] for i in sample_ids]
-        if self.bits_shape is None:
-            inputs = np.stack(entries)
-        else:
-            packed = np.frombuffer(b"".join(entries), dtype=np.uint8)
-            inputs = unpack_bits(packed.reshape(len(entries), -1), self.bits_shape)
-        z_res, cache = self.model.forward_res(self.params, self.buffers, inputs, train=True)
-        self._cache, self._batch = cache, len(sample_ids)
+    def logits(self, bits) -> np.ndarray:
+        """z_res of a (b, c, h, w) batch of the residual branch's inputs."""
+        z_res, cache = self.model.forward_res(self.params, self.buffers, bits, train=True)
+        self._cache, self._batch = cache, len(bits)
         return z_res
 
     def apply_gradient(self, g_res) -> None:

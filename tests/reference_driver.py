@@ -4,9 +4,12 @@ Both sides share one params/buffers dict pair and nothing crosses a wire:
 stage 1, then every residual perturbed (and quantized) once into a store,
 then the stage-2 batch loop.  ``protocol.run_split_training`` must match it
 bitwise.  Its store keeps each sample's bits unpacked (and the unquantized
-ablation its perturbed floats, which the split driver refuses to send), so
-the split run's packed store is checked against plain tensors.
+ablation its perturbed floats, which the split driver refuses to send), and
+it stacks each batch from that store itself, so the split run's packed
+store and its unpacking are checked against plain tensors.
 """
+
+import numpy as np
 
 from asymsplit.decompose import decompose_main_batch
 from asymsplit.privacy import perturb, quantize
@@ -41,7 +44,7 @@ def train_in_process(model, params, buffers, data, dcfg, cfg) -> TrainReport:
         store[sample_id] = quantize(noisy) if cfg.quantize else noisy
 
     private = Stage2Private(model, params, buffers, cfg, state_private, report)
-    public = Stage2Public(model, params, buffers, store, cfg, SgdState())
+    public = Stage2Public(model, params, buffers, cfg, SgdState())
     y1h = one_hot(data.train_y, model.spec.num_classes)
     for epoch in range(cfg.ep2):
         private.begin_epoch(epoch)
@@ -51,6 +54,7 @@ def train_in_process(model, params, buffers, data, dcfg, cfg) -> TrainReport:
             feats, _ = model.forward_backbone(params, buffers, data.train_x[idx], train=False)
             ir_main, _ = decompose_main_batch(feats, dcfg)
             private.prepare(ir_main, y1h[idx])
-            public.apply_gradient(private.finish(public.logits(idx)))
+            bits = np.stack([store[int(i)] for i in idx])
+            public.apply_gradient(private.finish(public.logits(bits)))
         private.end_epoch()
     return report

@@ -442,7 +442,7 @@ def test_split_inference_matches_monolithic(bench, verdict):
     (priv_p, priv_b), (pub_p, pub_b) = split_params(params, buffers)
     wire = Wire(MemoryChannel())
     private = PrivateEndpoint(model, priv_p, priv_b, BENCH_DCFG, cfg, wire)
-    public = PublicEndpoint(model, pub_p, pub_b, cfg, wire)
+    public = PublicEndpoint(model, pub_p, pub_b)
     preds = run_split_inference(private, public, data.val_x, sigma=0.0)
 
     mono = np.empty_like(preds)

@@ -22,7 +22,7 @@ from asymsplit.cli import (
 from asymsplit.datasets import class_means, synthetic_dataset
 from asymsplit.decompose import spectrum
 from asymsplit.privacy import calibrate
-from asymsplit.protocol import SocketChannel
+from asymsplit.protocol import PublicEndpoint, SocketChannel
 
 
 def resolve(argv):
@@ -486,6 +486,24 @@ class TestInferCmd:
         images = tmp_path / "gray.npy"
         np.save(images, np.zeros((2, 1, 16, 16)))
         assert main(["infer", "--ckpt", str(out / "ckpt"), "--images", str(images)]) == 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_public_logits_exit_3(self, tiny_run, tmp_path, capsys, monkeypatch,
+                                             value):
+        out, _ = tiny_run
+        images = tmp_path / "some.npy"
+        np.save(images, synthetic_dataset(n=64, seed=0).val_x[:5])
+        real = PublicEndpoint.res_logits
+
+        def poisoned(self, bits):
+            z = real(self, bits)
+            z[0, 1] = value
+            return z
+
+        monkeypatch.setattr(PublicEndpoint, "res_logits", poisoned)
+        assert main(["infer", "--ckpt", str(out / "ckpt"), "--images", str(images)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite logits" in captured.err
 
     @pytest.mark.parametrize("size", [4, 5, 8])
     def test_truncated_checkpoint_header_is_data_error(self, tmp_path, capsys, size):

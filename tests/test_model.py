@@ -21,7 +21,6 @@ from asymsplit.model import (
     ModelSpec,
     ResBlock,
     Sequential,
-    _build_branch,
     count_macs,
     default_spec,
     factorize_reference,
@@ -321,24 +320,24 @@ class TestLayerGradients:
         # gets its gradient
         rng = np.random.default_rng(12)
         cases = (
-            (ResBlock("rb", 2, 3, 3, stride=2, q=2, normalize=False), (2, 2, 6, 6)),
-            (ResBlock("id", 3, 3, 3, stride=1), (2, 3, 5, 5)),
-            (ResBlock("id", 3, 3, 3, stride=1, input_grad=False), (2, 3, 5, 5)),
+            (ResBlock("rb", 2, 3, 3, stride=2, q=2, normalize=False), (2, 2, 6, 6), True),
+            (ResBlock("id", 3, 3, 3, stride=1), (2, 3, 5, 5), True),
+            (ResBlock("id", 3, 3, 3, stride=1), (2, 3, 5, 5), False),
         )
-        for block, x_shape in cases:
+        for block, x_shape, input_grad in cases:
             params, buffers = {}, {}
             block.init(rng, params, buffers)
             x = rng.normal(size=x_shape)
             y, cache = block.forward(params, buffers, x, True)
             proj = rng.normal(size=y.shape)
             grads = {}
-            gx = block.backward(params, cache, proj, grads)
+            gx = block.backward(params, cache, proj, grads, input_grad)
 
             def loss():
                 out, _ = block.forward(params, buffers, x, True)
                 return float(np.sum(proj * out))
 
-            if block.input_grad:
+            if input_grad:
                 fd_x = central_diff(loss, x)
                 assert np.linalg.norm(gx - fd_x) / max(np.linalg.norm(fd_x), 1e-12) <= 1e-5
             else:
@@ -379,7 +378,7 @@ class TestResidualBranch:
         z, cache = model.res.forward(params, dict(buffers), x, True)
         assert z.dtype == np.float64
         grads = {}
-        assert model.res.backward(params, cache, proj, grads) is None
+        assert model.res.backward(params, cache, proj, grads, input_grad=False) is None
         assert set(grads) == {k for k in params if k.startswith("res/")}
         for key, g in grads.items():
             assert g.dtype == np.float64, key
@@ -449,35 +448,63 @@ class TestLeafInputGradients:
         # gradient; re-enabling it must not move a single weight-gradient bit
         rng = np.random.default_rng(13)
         spec = default_spec(r=2)
-        leaf, full = Model(spec), Model(spec)
-        full.backbone = Sequential([
-            Conv2d("bb/conv", spec.in_channels, spec.bb_channels, spec.bb_k, 1, "same")
-        ])
-        full.res = _build_branch(
-            "res", spec.res_blocks, spec.bb_channels, spec.num_classes,
-            spec.normalize, lowrank=False, input_grad=True,
-        )
-        params, buffers = leaf.init(seed=5)
+        model = Model(spec)
+        params, buffers = model.init(seed=5)
         x = rng.normal(size=(4, spec.in_channels, 16, 16))
         bits = rng.choice([-1.0, 1.0], size=(4, spec.bb_channels, 16, 16))
         g_feats = rng.normal(size=(4, spec.bb_channels, 16, 16))
         g_z = rng.normal(size=(4, spec.num_classes))
 
-        def backward(model):
+        def backward(backward_backbone, backward_res):
             grads = {}
             _, bb_cache = model.forward_backbone(params, dict(buffers), x, True)
-            g_bb = model.backward_backbone(params, bb_cache, g_feats, grads)
+            g_bb = backward_backbone(params, bb_cache, g_feats, grads)
             _, res_cache = model.forward_res(params, dict(buffers), bits, True)
-            g_res = model.backward_res(params, res_cache, g_z, grads)
+            g_res = backward_res(params, res_cache, g_z, grads)
             return grads, g_bb, g_res
 
-        grads_leaf, g_bb_leaf, g_res_leaf = backward(leaf)
-        grads_full, g_bb_full, g_res_full = backward(full)
+        grads_leaf, g_bb_leaf, g_res_leaf = backward(model.backward_backbone, model.backward_res)
+        grads_full, g_bb_full, g_res_full = backward(model.backbone.backward, model.res.backward)
         assert g_bb_leaf is None and g_res_leaf is None
         assert g_bb_full.shape == x.shape and g_res_full.shape == bits.shape
         assert grads_leaf.keys() == grads_full.keys()
         for key in grads_full:
             assert grads_leaf[key].tobytes() == grads_full[key].tobytes(), key
+
+    def test_sequential_hands_the_flag_to_its_first_layer_only(self, monkeypatch):
+        # a block's body and skip hand input_grad=False on to the conv that
+        # reads the block's input (conv1, proj) and to no other; an identity
+        # skip, an empty Sequential, passes g through or returns None
+        calls = []
+        for cls in (Conv2d, LowRankConv2d):
+            def spy(self, *args, _real=cls.backward, **kwargs):
+                calls.append((self.prefix, args[4:], kwargs))
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "backward", spy)
+        rng = np.random.default_rng(14)
+        for block, x_shape, reads_input in (
+            (ResBlock("id", 3, 3, 3, stride=1), (2, 3, 5, 5), ["id/conv1"]),
+            (ResBlock("pj", 2, 3, 3, stride=2, q=2), (2, 2, 6, 6), ["pj/conv1", "pj/proj"]),
+        ):
+            params, buffers = {}, {}
+            block.init(rng, params, buffers)
+            y, (body_cache, skip_cache, _) = block.forward(
+                params, buffers, rng.normal(size=x_shape), True)
+            g = rng.normal(size=y.shape)
+            for input_grad in (True, False):
+                calls.clear()
+                gx = block.body.backward(params, body_cache, g, {}, input_grad)
+                gs = block.skip.backward(params, skip_cache, g, {}, input_grad)
+                # conv2 is called with no flag, each conv reading x with it
+                assert calls == [(f"{block.prefix}/conv2", (), {})] + [
+                    (prefix, (input_grad,), {}) for prefix in reads_input]
+                if not input_grad:
+                    assert gx is None and gs is None
+                elif block.skip.layers:
+                    assert gx.shape == gs.shape == x_shape
+                else:
+                    assert gx.shape == x_shape and gs is g
 
 
 def randomize_norms(rng, params, buffers):

@@ -412,3 +412,11 @@ class TestPackedCache:
             assert absent not in cache
             with pytest.raises(KeyError):
                 cache.bits(absent)
+
+    def test_repeated_sample_ids_refused(self):
+        # 3 and 3.5 are distinct keys but one noise stream: releasing both
+        # would add the same noise to two residuals
+        residuals = unit_residuals([3, 4], shape=(2, 2, 2))
+        residuals[3.5] = residuals[4]
+        with pytest.raises(ValueError, match="repeat"):
+            build_cache(residuals, None, seed=4, sigma=0.7)

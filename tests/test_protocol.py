@@ -885,9 +885,25 @@ class TestMisshapedFrames:
         wire = Wire(TamperingChannel(lambda d: d[:, :1]))
         (pp, pb), (qp, qb) = split_params(params, buffers)
         private = PrivateEndpoint(model, pp, pb, DCFG, cfg, wire)
-        public = PublicEndpoint(model, qp, qb, cfg, wire)
+        public = PublicEndpoint(model, qp, qb)
         with pytest.raises(ProtocolViolation, match=r"shape \(1, 1, 1\), expected \(1, 4, 1\)"):
             run_split_inference(private, public, data.val_x[:2])
+
+    @pytest.mark.parametrize("value,at", [(np.nan, 1), (np.inf, 2), (-np.inf, 0)])
+    def test_non_finite_logits_are_a_violation(self, value, at):
+        # numpy's argmax returns a NaN's position, and +inf's, as the class
+        def poison(d):
+            d = d.copy()
+            d[0, at, 0] = value
+            return d
+
+        data, model, params, buffers, cfg = tiny_setup(n=32, ep2=0)
+        wire = Wire(TamperingChannel(poison))
+        (pp, pb), (qp, qb) = split_params(params, buffers)
+        private = PrivateEndpoint(model, pp, pb, DCFG, cfg, wire)
+        public = PublicEndpoint(model, qp, qb)
+        with pytest.raises(ProtocolViolation, match="non-finite logits for request 0"):
+            run_split_inference(private, public, data.val_x[:5])
 
     def test_one_logits_row_per_stage2_batch_is_a_violation(self):
         # one row would broadcast over the batch and training would finish
@@ -1040,7 +1056,7 @@ class TestSplitInference:
         wire = Wire()
         (pp, pb), (qp, qb) = split_params(params, buffers)
         private = PrivateEndpoint(model, pp, pb, DCFG, cfg, wire)
-        public = PublicEndpoint(model, qp, qb, cfg, wire)
+        public = PublicEndpoint(model, qp, qb)
 
         data = synthetic_dataset(n=16, seed=3)
         preds = run_split_inference(private, public, data.val_x)
