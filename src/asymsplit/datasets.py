@@ -20,6 +20,7 @@ flipped bits to the residual untouched.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -58,12 +59,19 @@ class Dataset:
             )
 
 
+def _train_count(n: int, val_fraction: float) -> int:
+    """How many of n samples a split keeps for training."""
+    if not 0 <= val_fraction < 1:
+        raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
+    return n - int(round(n * val_fraction))
+
+
 # ---------------------------------------------------------------------------
 # IDX files (big-endian magic + dims, then unsigned bytes)
 # ---------------------------------------------------------------------------
 
-def load_idx_images(path) -> np.ndarray:
-    """(n, 1, rows, cols) float64 images scaled into [0, 1]."""
+def _idx_pixels(path) -> np.ndarray:
+    """(n, 1, rows, cols) uint8 pixels, a view of the file's bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16:
@@ -74,8 +82,19 @@ def load_idx_images(path) -> np.ndarray:
     expected = 16 + n * rows * cols
     if len(raw) != expected:
         raise ValueError(f"idx image file length {len(raw)} != expected {expected}")
-    data = np.frombuffer(raw, dtype=np.uint8, offset=16).astype(np.float64) / 255.0
-    return data.reshape(n, 1, rows, cols)
+    return np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(n, 1, rows, cols)
+
+
+def _unit_scale(pixels: np.ndarray) -> np.ndarray:
+    """uint8 pixels as float64 in [0, 1], divided in place: one float copy."""
+    out = pixels.astype(np.float64)
+    out /= 255.0
+    return out
+
+
+def load_idx_images(path) -> np.ndarray:
+    """(n, 1, rows, cols) float64 images scaled into [0, 1]."""
+    return _unit_scale(_idx_pixels(path))
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -96,19 +115,20 @@ def load_idx_dataset(images_path, labels_path, val_fraction: float = 0.2) -> Dat
 
     The split follows one fixed permutation of the file's order, the same
     on every load, so a file sorted by class validates on all of them.
+    Each split is gathered from the file's uint8 pixels and only then
+    scaled, so no float copy of the whole file is ever formed.
     """
-    xs = load_idx_images(images_path)
+    pixels = _idx_pixels(images_path)
     ys = load_idx_labels(labels_path)
-    if len(xs) != len(ys):
-        raise ValueError(f"{len(xs)} images but {len(ys)} labels")
-    n_val = int(round(len(xs) * val_fraction))
-    n_train = len(xs) - n_val
-    order = np.random.default_rng(_IDX_SPLIT_SEED).permutation(len(xs))
+    if len(pixels) != len(ys):
+        raise ValueError(f"{len(pixels)} images but {len(ys)} labels")
+    n_train = _train_count(len(pixels), val_fraction)
+    order = np.random.default_rng(_IDX_SPLIT_SEED).permutation(len(pixels))
     train, val = order[:n_train], order[n_train:]
     num_classes = int(ys.max()) + 1
     return Dataset(
-        train_x=xs[train], train_y=ys[train],
-        val_x=xs[val], val_y=ys[val],
+        train_x=_unit_scale(pixels[train]), train_y=ys[train],
+        val_x=_unit_scale(pixels[val]), val_y=ys[val],
         num_classes=num_classes,
     )
 
@@ -131,9 +151,17 @@ def _texture_map(side: int) -> np.ndarray:
     return np.outer(signs, signs)
 
 
-def synthetic_images(
-    n: int = 2000,
-    num_classes: int = 4,
+# images drawn per chunk: one normal() call, then the chunk's arithmetic in
+# place, so generation holds the chunk's draw and one term buffer (0.75
+# MiB at the default 3x16x16), never a second copy of the set
+CHUNK = 64
+
+
+def _synthetic_draw(
+    n: int,
+    num_classes: int,
+    sizes,
+    *,
     rank: int = 3,
     cutoff: int = 4,
     noise: float = 0.4,
@@ -143,16 +171,19 @@ def synthetic_images(
     gamma: float = 0.1,
     texture_amp: float = 0.5,
     spread: float = 0.25,
-    count: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(images, labels) of the first ``count`` samples (all n if None) of
-    the n-sample draw that ``synthetic_dataset`` splits.
+) -> tuple[np.ndarray, list]:
+    """The n labels and the first sum(sizes) images of the n-sample draw,
+    as one separately allocated (size, channels, side, side) array per size.
 
     Class-structured images: smooth pair templates, a gamma-scaled smooth
     within-pair offset, per-class high-frequency textures, shared smooth
     variability of the given rank, and pixel noise.  Every label is drawn
-    first, then each image in order from the same generator, so the first
-    ``count`` images are those of the whole draw and cost only their own.
+    first, then each image in order from the same generator: its ``rank``
+    common-mode scalars, then its noise block.  The images are drawn CHUNK
+    at a time with one ``normal`` call per chunk, which takes the same
+    stream in the same order, and each term is added over the whole chunk
+    in the per-image order, so every image is the same to the byte
+    whichever sizes split the draw.
     """
     if num_classes < 2 or num_classes > _MAX_CLASSES:
         raise ValueError(f"num_classes must be in [2, {_MAX_CLASSES}]")
@@ -180,35 +211,68 @@ def synthetic_images(
 
     labels = np.arange(n) % num_classes
     rng.shuffle(labels)
+
+    templates = np.stack([np.multiply.outer(u_pair, m) for m in pair_maps])
+    delta = np.multiply.outer(u_delta, delta_map)
+    carrier = np.multiply.outer(u_texture, texture)
+    commons = [np.multiply.outer(u, m) for u, m in zip(u_common, common_maps)]
+    flips = (1.0 - 2.0 * (labels % 2))[:, None, None, None]
+    shape = (channels, side, side)
+    pixels = math.prod(shape)
+
+    outs = [np.empty((size, *shape)) for size in sizes]
+    term = np.empty((min(CHUNK, sum(sizes)), *shape))  # each product, before its add
+    done = 0
+    for out in outs:
+        for lo in range(0, len(out), CHUNK):
+            img = out[lo : lo + CHUNK]
+            k = len(img)
+            at = slice(done, done + k)
+            draw = rng.normal(size=(k, rank + pixels))
+            tmp = term[:k]
+            # any mode but the default "raise" writes straight into img
+            np.take(templates, labels[at] // 2, axis=0, out=img, mode="clip")
+            img += np.multiply(gamma * flips[at], delta, out=tmp)
+            img += np.multiply(texture_amp * flips[at], carrier, out=tmp)
+            for j in range(rank):
+                img += np.multiply(spread * draw[:, j, None, None, None], commons[j], out=tmp)
+            img += np.multiply(noise, draw[:, rank:].reshape(k, *shape), out=tmp)
+            del draw  # before the next chunk's draw is allocated
+            done += k
+    return labels, outs
+
+
+def synthetic_images(n: int = 2000, num_classes: int = 4, *, count: int | None = None,
+                     **kwargs) -> tuple[np.ndarray, np.ndarray]:
+    """(images, labels) of the first ``count`` samples (all n if None) of
+    the n-sample draw that ``synthetic_dataset`` splits; ``kwargs`` set the
+    generator (rank, cutoff, noise, seed, side, channels, gamma,
+    texture_amp, spread; see ``_synthetic_draw``).  The first ``count``
+    images are those of the whole draw and cost only their own.
+    """
     count = n if count is None else min(count, n)
-    xs = np.empty((count, channels, side, side))
-    for i in range(count):
-        cls = labels[i]
-        pair, flip = cls // 2, 1.0 - 2.0 * (cls % 2)
-        img = np.multiply.outer(u_pair, pair_maps[pair])
-        img = img + gamma * flip * np.multiply.outer(u_delta, delta_map)
-        img = img + texture_amp * flip * np.multiply.outer(u_texture, texture)
-        for k in range(rank):
-            img = img + spread * rng.normal() * np.multiply.outer(u_common[k], common_maps[k])
-        img = img + noise * rng.normal(size=img.shape)
-        xs[i] = img
+    labels, (xs,) = _synthetic_draw(n, num_classes, (count,), **kwargs)
     return xs, labels[:count]
 
 
 def synthetic_train_count(n: int, val_fraction: float = VAL_FRACTION) -> int:
     """How many of ``synthetic_dataset``'s n samples go to the training split."""
-    return n - int(round(n * val_fraction))
+    return _train_count(n, val_fraction)
 
 
 def synthetic_dataset(n: int = 2000, num_classes: int = 4, *,
                       val_fraction: float = VAL_FRACTION, **kwargs) -> Dataset:
     """``synthetic_images``' n samples, the first ``synthetic_train_count``
-    for training and the rest for validation; ``kwargs`` go to it."""
-    xs, labels = synthetic_images(n, num_classes, **kwargs)
+    for training and the rest for validation; ``kwargs`` go to it.
+
+    The two splits are drawn straight into two separately allocated
+    arrays, so a caller that keeps only one frees the other's pixels.
+    """
     n_train = synthetic_train_count(n, val_fraction)
+    labels, (train_x, val_x) = _synthetic_draw(n, num_classes, (n_train, n - n_train), **kwargs)
     return Dataset(
-        train_x=xs[:n_train], train_y=labels[:n_train],
-        val_x=xs[n_train:], val_y=labels[n_train:],
+        train_x=train_x, train_y=labels[:n_train],
+        val_x=val_x, val_y=labels[n_train:],
         num_classes=num_classes,
     )
 

@@ -116,7 +116,12 @@ def calibrate(epsilon: float, delta: float, p: float, C: float) -> PrivacyParams
 
 
 def _uint64(name: str, value) -> int:
-    value = int(value)
+    """``value``, an int or numpy integer, as an int in [0, 2**64); a float
+    or any other non-integer is refused, never truncated onto a key."""
+    try:
+        value = op.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if not 0 <= value < 2**64:
         raise ValueError(f"{name} must fit in uint64, got {value}")
     return value
@@ -139,6 +144,7 @@ def add_noise(out: np.ndarray, block: np.ndarray, sigma: float, seed: int, ids,
         raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
     if not np.isfinite(block).all():
         raise ValueError("residual contains non-finite entries")
+    seed = _uint64("seed", seed)
     ids = [_uint64("stream", i) for i in ids]
     if sigma == 0 or not ids:
         np.copyto(out, block)
@@ -229,14 +235,19 @@ class ResidualCache:
     def ids(self) -> list:
         return self._ids.tolist()
 
-    def bits(self, sample_id) -> np.ndarray:
-        """The cached bit tensor for one sample, freshly unpacked and
-        read-only; never re-perturbs."""
+    def packed(self, sample_id) -> np.ndarray:
+        """One sample's packed row as the cache holds it: a read-only view
+        of ceil(c*h*w/8) bytes, the payload of its residual-bits frame."""
         i = self._find(sample_id)
         if i < 0:
             raise KeyError(f"sample id {sample_id} not in cache")
         block, row = divmod(i, self._step)
-        out = unpack_bits(self._blocks[block][row], self._shape)
+        return self._blocks[block][row]
+
+    def bits(self, sample_id) -> np.ndarray:
+        """The cached bit tensor for one sample, freshly unpacked and
+        read-only; never re-perturbs."""
+        out = unpack_bits(self.packed(sample_id), self._shape)
         out.setflags(write=False)
         return out
 

@@ -19,6 +19,7 @@ logits and gradients, inference only residual bits and logits.
 from __future__ import annotations
 
 import dataclasses
+import math
 import socket
 import struct
 from array import array
@@ -122,9 +123,12 @@ def _residual_bits(data) -> np.ndarray:
     raise ValueError("residual payload must be 0/1 bits")
 
 
+def _header(kind: FrameKind, frame_id: int, shape) -> bytes:
+    return _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, int(kind), frame_id, *shape)
+
+
 def encode_frame(frame: Frame) -> bytes:
-    c, h, w = frame.data.shape
-    header = _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, int(frame.kind), frame.frame_id, c, h, w)
+    header = _header(frame.kind, frame.frame_id, frame.data.shape)
     if frame.kind == FrameKind.RESIDUAL_BITS:
         payload = pack_bits(_residual_bits(frame.data)).tobytes()
     else:
@@ -396,11 +400,26 @@ class Wire:
         self.phase = "stage1"
 
     def send(self, sender: str, frame: Frame) -> None:
-        raw = encode_frame(frame)
+        self._send_raw(sender, frame.kind, encode_frame(frame), frame.data.size)
+
+    def send_packed(self, sender: str, frame_id: int, shape, payload) -> None:
+        """Send one residual-bits frame of (c, h, w) ``shape`` whose payload
+        is already packed (``pack_bits``' row layout, as ``ResidualCache``
+        holds it): the mirror of ``recv_packed``.  The payload is refused
+        unless it is exactly ceil(c*h*w/8) bytes."""
+        count = math.prod(shape)
+        expected = _payload_length(FrameKind.RESIDUAL_BITS, count)
+        nbytes = memoryview(payload).nbytes
+        if nbytes != expected:
+            raise ValueError(
+                f"packed payload of {nbytes} bytes for shape {tuple(shape)}, expected {expected}"
+            )
+        raw = b"".join((_header(FrameKind.RESIDUAL_BITS, frame_id, shape), payload))
+        self._send_raw(sender, FrameKind.RESIDUAL_BITS, raw, count)
+
+    def _send_raw(self, sender: str, kind: FrameKind, raw: bytes, values: int) -> None:
         direction = "private->public" if sender == "private" else "public->private"
-        self.transcript.record(
-            direction, frame.kind.wire_name, len(raw), self.phase, frame.data.size
-        )
+        self.transcript.record(direction, kind.wire_name, len(raw), self.phase, values)
         self.channel.send(sender, raw)
 
     def recv(self, receiver: str, expect: FrameKind, shape=None) -> Frame:
@@ -570,7 +589,7 @@ def run_split_training(model: Model, params, buffers, data,
             # a batch's bits are dropped once the public side holds its copies
             cache = released.popleft()
             for sample_id in cache.ids():
-                wire.send("private", Frame(FrameKind.RESIDUAL_BITS, sample_id, cache.bits(sample_id)))
+                wire.send_packed("private", sample_id, bits_shape, cache.packed(sample_id))
                 frame_id, payload = wire.recv_packed("public", bits_shape)
                 public.store[frame_id] = payload
 

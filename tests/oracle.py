@@ -9,6 +9,10 @@ input from them by a route independent of ``asymsplit.decompose``'s cached
 low-pass operator.  ``spectrum_reference`` computes the error curves of
 ``asymsplit.decompose.spectrum`` the same explicit way: by rank-r
 reconstruction and by a zero-padded inverse DCT.
+
+``synthetic_images_reference`` is the synthetic generator's per-image loop,
+the reference ``asymsplit.datasets``' chunked draw is pinned against byte
+for byte.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from asymsplit.datasets import _MAX_CLASSES, _smooth_map, _texture_map
 from asymsplit.decompose import DecompositionConfig
 from asymsplit.numerics import as_tensor3, dct_matrix
 
@@ -204,3 +209,65 @@ def spectrum_reference(x, t: int, r_values, tprime_values):
         err = float(np.linalg.norm(x - x_lf))
         rows.append(("dct", int(tp), err / norm if norm else 0.0))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The synthetic generator, one image at a time
+# ---------------------------------------------------------------------------
+
+def synthetic_images_reference(
+    n: int = 2000,
+    num_classes: int = 4,
+    rank: int = 3,
+    cutoff: int = 4,
+    noise: float = 0.4,
+    seed: int = 0,
+    side: int = 16,
+    channels: int = 3,
+    gamma: float = 0.1,
+    texture_amp: float = 0.5,
+    spread: float = 0.25,
+    count: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(images, labels) of the first ``count`` samples (all n if None) of
+    the n-sample draw: every label first, then each image in order, its
+    ``rank`` common-mode scalars and then its noise block."""
+    if num_classes < 2 or num_classes > _MAX_CLASSES:
+        raise ValueError(f"num_classes must be in [2, {_MAX_CLASSES}]")
+    if n < num_classes:
+        raise ValueError(f"need at least one sample per class, got n={n}")
+    if side % 8:
+        raise ValueError(f"side must be a multiple of 8, got {side}")
+    rng = np.random.default_rng(seed)
+    basis = dct_matrix(side)
+
+    num_pairs = (num_classes + 1) // 2
+    pair_maps = [_smooth_map(rng, side, cutoff, basis) for _ in range(num_pairs)]
+    delta_map = _smooth_map(rng, side, cutoff, basis)
+    common_maps = [_smooth_map(rng, side, cutoff, basis) for _ in range(rank)]
+    texture = _texture_map(side)
+
+    def unit(v):
+        v = np.asarray(v, dtype=np.float64)
+        return v / np.linalg.norm(v)
+
+    u_pair = unit([1.0] * channels)
+    u_delta = unit([1.0] + [-1.0] * (channels - 1))
+    u_texture = unit([1.0, 0.0, -1.0][:channels] if channels > 1 else [1.0])
+    u_common = [unit(rng.normal(size=channels)) for _ in range(rank)]
+
+    labels = np.arange(n) % num_classes
+    rng.shuffle(labels)
+    count = n if count is None else min(count, n)
+    xs = np.empty((count, channels, side, side))
+    for i in range(count):
+        cls = labels[i]
+        pair, flip = cls // 2, 1.0 - 2.0 * (cls % 2)
+        img = np.multiply.outer(u_pair, pair_maps[pair])
+        img = img + gamma * flip * np.multiply.outer(u_delta, delta_map)
+        img = img + texture_amp * flip * np.multiply.outer(u_texture, texture)
+        for k in range(rank):
+            img = img + spread * rng.normal() * np.multiply.outer(u_common[k], common_maps[k])
+        img = img + noise * rng.normal(size=img.shape)
+        xs[i] = img
+    return xs, labels[:count]

@@ -1,10 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import dct_block_forward
+from oracle import dct_block_forward, synthetic_images_reference
 
 from asymsplit.datasets import (
+    CHUNK,
     Dataset,
     class_means,
     load_idx_dataset,
@@ -99,6 +101,51 @@ class TestIdxFiles:
         again = load_idx_dataset(imgs, labels, val_fraction=0.2)
         for name in ("train_x", "train_y", "val_x", "val_y"):
             np.testing.assert_array_equal(getattr(again, name), getattr(data, name))
+
+    def test_splits_equal_the_whole_file_formula(self, tmp_path):
+        # each split is gathered as uint8 and scaled on its own: the same
+        # bytes as the float copy of the whole file, gathered afterwards
+        imgs, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+        n = 53
+        pixels = np.random.default_rng(8).integers(0, 256, size=(n, 5, 7), dtype=np.uint8)
+        raw = idx_image_bytes(pixels)
+        imgs.write_bytes(raw)
+        labels.write_bytes(idx_label_bytes(np.arange(n) % 3))
+        whole = np.frombuffer(raw, np.uint8, offset=16).astype(np.float64) / 255.0
+        whole = whole.reshape(n, 1, 5, 7)
+        assert load_idx_images(imgs).tobytes() == whole.tobytes()
+        data = load_idx_dataset(imgs, labels, val_fraction=0.3)
+        order = np.random.default_rng(0).permutation(n)
+        n_train = n - round(n * 0.3)
+        assert data.train_x.tobytes() == whole[order[:n_train]].tobytes()
+        assert data.val_x.tobytes() == whole[order[n_train:]].tobytes()
+        assert data.train_x.dtype == data.val_x.dtype == np.float64
+
+    def test_split_load_holds_no_float_copy_of_the_file(self, tmp_path):
+        # the peak above the two returned float splits is the file's bytes
+        # and one uint8 gather; a whole-file float copy would add 8 B a pixel
+        imgs, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+        n = 2000
+        pixels = np.random.default_rng(9).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+        imgs.write_bytes(idx_image_bytes(pixels))
+        labels.write_bytes(idx_label_bytes(np.arange(n) % 10))
+        load_idx_dataset(imgs, labels)
+        tracemalloc.start()
+        try:
+            data = load_idx_dataset(imgs, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        above = peak - data.train_x.nbytes - data.val_x.nbytes
+        assert above <= 2 * pixels.nbytes + (1 << 16), above / pixels.nbytes
+
+    @pytest.mark.parametrize("val_fraction", [1.5, 1.0, -0.5, float("nan")])
+    def test_val_fraction_outside_unit_interval_refused(self, tmp_path, val_fraction):
+        imgs, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+        imgs.write_bytes(idx_image_bytes(np.zeros((10, 2, 2), dtype=np.uint8)))
+        labels.write_bytes(idx_label_bytes([0, 1] * 5))
+        with pytest.raises(ValueError, match=r"val_fraction must be in \[0, 1\)"):
+            load_idx_dataset(imgs, labels, val_fraction=val_fraction)
 
 
 class TestDatasetGuards:
@@ -210,3 +257,67 @@ class TestSynthetic:
     def test_val_fraction_zero(self):
         data = synthetic_dataset(n=40, seed=0, val_fraction=0.0)
         assert len(data.val_x) == 0 and len(data.train_x) == 40
+
+    @pytest.mark.parametrize("val_fraction", [1.5, 1.0, -0.5, float("nan")])
+    def test_val_fraction_outside_unit_interval_refused(self, val_fraction):
+        # 1.5 gave a 20/20 split of 40 and -0.5 an empty validation split
+        with pytest.raises(ValueError, match=r"val_fraction must be in \[0, 1\)"):
+            synthetic_dataset(n=40, seed=0, val_fraction=val_fraction)
+
+
+class TestSyntheticMatchesReference:
+    """The chunked draw against the per-image loop, byte for byte."""
+
+    @pytest.mark.parametrize("n", [37, 2000])
+    @pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, None])
+    def test_first_images(self, n, count):
+        got, labels = synthetic_images(n=n, seed=12, count=count)
+        want, want_labels = synthetic_images_reference(n=n, seed=12, count=count)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert labels.tobytes() == want_labels.tobytes()
+
+    @pytest.mark.parametrize("num_classes, channels, side, rank", [
+        (2, 1, 8, 0), (5, 3, 24, 3), (8, 1, 64, 3), (8, 3, 64, 0), (5, 1, 8, 3), (2, 3, 24, 0),
+    ])
+    def test_generator_shapes(self, num_classes, channels, side, rank):
+        kwargs = dict(num_classes=num_classes, channels=channels, side=side, rank=rank, seed=6)
+        want, want_labels = synthetic_images_reference(n=CHUNK + 9, **kwargs)
+        got, labels = synthetic_images(n=CHUNK + 9, **kwargs)
+        assert got.tobytes() == want.tobytes() and labels.tobytes() == want_labels.tobytes()
+        data = synthetic_dataset(n=CHUNK + 9, **kwargs)
+        n_train = len(data.train_x)
+        assert data.train_x.tobytes() == want[:n_train].tobytes()
+        assert data.val_x.tobytes() == want[n_train:].tobytes()
+
+    @pytest.mark.parametrize("n, val_fraction", [
+        (37, 0.2),      # train 30: both splits inside one chunk
+        (2000, 0.15),   # train 1700: the boundary falls inside a chunk
+        (2000, 0.2),    # train 1600: the boundary falls on a chunk boundary
+        (37, 0.0),      # an empty validation split
+    ])
+    def test_splits(self, n, val_fraction):
+        data = synthetic_dataset(n=n, seed=13, val_fraction=val_fraction)
+        want, labels = synthetic_images_reference(n=n, seed=13)
+        n_train = n - round(n * val_fraction)
+        assert len(data.train_x) == n_train and len(data.val_x) == n - n_train
+        assert data.train_x.tobytes() == want[:n_train].tobytes()
+        assert data.val_x.tobytes() == want[n_train:].tobytes()
+        assert data.train_y.tobytes() == labels[:n_train].tobytes()
+        assert data.val_y.tobytes() == labels[n_train:].tobytes()
+
+    def test_splits_own_their_memory(self):
+        # keeping one split must not keep the other's pixels alive
+        data = synthetic_dataset(n=200, seed=1)
+        assert not np.shares_memory(data.train_x, data.val_x)
+        assert data.train_x.base is None and data.val_x.base is None
+
+    def test_generation_peak_is_a_chunk_not_a_set(self):
+        synthetic_dataset(n=40)
+        tracemalloc.start()
+        try:
+            data = synthetic_dataset(n=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        above = peak - data.train_x.nbytes - data.val_x.nbytes
+        assert above <= 1.5 * 2**20, above / 2**20

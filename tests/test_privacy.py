@@ -174,6 +174,27 @@ class TestPerturb:
         with pytest.raises(ValueError):
             noise_stream(0, 2**64)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("stream", {"seed": 0, "stream": 3.5}),
+        ("stream", {"seed": 0, "stream": np.float64(3.0)}),
+        ("stream", {"seed": 0, "stream": "3"}),
+        ("seed", {"seed": 0.9, "stream": 0}),
+        ("seed", {"seed": np.float32(1.0), "stream": 0}),
+    ])
+    def test_keys_must_be_integers(self, field, kwargs):
+        # int() truncated 3.5 onto stream 3 and 0.9 onto seed 0
+        x = np.zeros((1, 2, 2))
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            perturb(x, 1.0, **kwargs)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            noise_stream(kwargs["seed"], kwargs["stream"])
+
+    def test_numpy_integer_keys_are_their_value(self):
+        x = np.zeros((2, 3, 3))
+        want = perturb(x, 1.0, seed=5, stream=9)
+        for seed, stream in ((np.int64(5), np.uint64(9)), (np.uint8(5), np.int32(9))):
+            assert perturb(x, 1.0, seed=seed, stream=stream).tobytes() == want.tobytes()
+
 
 class TestQuantize:
     def test_sign_cases(self):
@@ -413,10 +434,33 @@ class TestPackedCache:
             with pytest.raises(KeyError):
                 cache.bits(absent)
 
+    def test_packed_row_is_the_held_payload(self):
+        # one sample's packed row, as its residual-bits frame carries it
+        ids = list(range(RELEASE_CHUNK + 3))
+        cache = build_cache(unit_residuals(ids, shape=(3, 5, 7)), None, seed=4, sigma=0.7)
+        for sample_id in ids:
+            row = cache.packed(sample_id)
+            assert row.shape == (14,) and not row.flags.writeable
+            assert row.tobytes() == pack_bits(cache.bits(sample_id)).tobytes()
+        with pytest.raises(KeyError):
+            cache.packed(len(ids))
+
     def test_repeated_sample_ids_refused(self):
-        # 3 and 3.5 are distinct keys but one noise stream: releasing both
-        # would add the same noise to two residuals
+        # two distinct keys with one integer value share one noise stream:
+        # releasing both would add the same noise to two residuals
+        class Three:
+            def __index__(self):
+                return 3
+
         residuals = unit_residuals([3, 4], shape=(2, 2, 2))
-        residuals[3.5] = residuals[4]
+        residuals[Three()] = residuals[4]
         with pytest.raises(ValueError, match="repeat"):
+            build_cache(residuals, None, seed=4, sigma=0.7)
+
+    @pytest.mark.parametrize("sample_id", [3.5, 3.0, np.float64(7.0)])
+    def test_non_integer_sample_id_refused(self, sample_id):
+        # 3.5 was released as sample 3, under stream 3's noise
+        residuals = unit_residuals([0, 1], shape=(2, 2, 2))
+        residuals[sample_id] = residuals.pop(1)
+        with pytest.raises(ValueError, match="sample id must be an integer"):
             build_cache(residuals, None, seed=4, sigma=0.7)

@@ -25,7 +25,7 @@ from asymsplit.model import (
     save_checkpoint,
     softmax,
 )
-from asymsplit.privacy import perturb, quantize
+from asymsplit.privacy import pack_bits, perturb, quantize, unpack_bits
 from asymsplit.protocol import (
     Frame,
     FrameKind,
@@ -204,6 +204,32 @@ def socket_recv_forged(raw: bytes) -> bytes:
         return ch.recv("public")
     finally:
         ch.close()
+
+
+class TestPackedSend:
+    @pytest.mark.parametrize("shape", [(8, 16, 16), (3, 5, 7), (1, 1, 1)])
+    def test_packed_send_is_the_unpacked_send(self, shape):
+        # the same frame bytes and transcript row, with or without padding
+        bits = np.random.default_rng(sum(shape)).integers(0, 2, size=shape).astype(np.uint8)
+        unpacked, packed = Wire(), Wire()
+        for wire in (unpacked, packed):
+            wire.phase = "cache-build"
+        unpacked.send("private", Frame(FrameKind.RESIDUAL_BITS, 11, bits))
+        packed.send_packed("private", 11, shape, pack_bits(bits))
+        raw = packed.channel.recv("public")
+        assert raw == unpacked.channel.recv("public")
+        assert packed.transcript.to_csv() == unpacked.transcript.to_csv()
+        assert decode_frame(raw).data.tobytes() == bits.tobytes()
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_payload_of_another_length_refused(self, extra):
+        wire = Wire()
+        payload = bytes(256 + extra)
+        with pytest.raises(ValueError, match=f"{256 + extra} bytes for shape"):
+            wire.send_packed("private", 0, (8, 16, 16), payload)
+        assert len(wire.transcript.entries) == 0
+        with pytest.raises(ProtocolViolation, match="channel empty"):
+            wire.channel.recv("public")
 
 
 class TestChannels:
@@ -758,13 +784,13 @@ class TestSplitTraining:
     def test_public_store_holds_wire_bits(self, monkeypatch):
         # each entry is, byte for byte, the 256-byte payload of the frame
         # that carried it, and unpacks to the 0/1 bits the private side sent
+        # (its cache's packed rows, which it sends without unpacking)
         sent, payloads = {}, {}
-        real_send = protocol.Wire.send
+        real_send = protocol.Wire.send_packed
 
-        def send_spy(self, sender, frame):
-            if frame.kind == FrameKind.RESIDUAL_BITS:
-                sent[frame.frame_id] = np.array(frame.data)
-            return real_send(self, sender, frame)
+        def send_spy(self, sender, frame_id, shape, payload):
+            sent[frame_id] = unpack_bits(np.asarray(payload), shape)
+            return real_send(self, sender, frame_id, shape, payload)
 
         class PayloadChannel(MemoryChannel):
             def send(self, sender, raw):
@@ -773,7 +799,7 @@ class TestSplitTraining:
                     payloads[frame.frame_id] = raw[HEADER_BYTES:]
                 super().send(sender, raw)
 
-        monkeypatch.setattr(protocol.Wire, "send", send_spy)
+        monkeypatch.setattr(protocol.Wire, "send_packed", send_spy)
         data, model, params, buffers, cfg = tiny_setup(n=32, ep2=1)
         _, _, _, public = run_split_training(
             model, params, buffers, data, DCFG, cfg, channel=PayloadChannel()
