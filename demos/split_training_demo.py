@@ -2,8 +2,9 @@
 
 Runs split training end to end on a reduced synthetic problem -- stage 1
 private-only, then the one-shot residual cache release, then stage 2
-with logits and gradients crossing the wire -- and finishes with split
-inference and the transcript audit.  Takes a few seconds.
+with the public side's logits and the private side's labels crossing the
+wire, from which the public side forms its own gradient -- and finishes
+with split inference and the transcript audit.  Takes a few seconds.
 """
 
 import numpy as np

@@ -33,4 +33,9 @@ print(f"\nround trip ok: {np.array_equal(decoded.data, bits)}")
 chw = 8 * 16 * 16
 logits = Frame(FrameKind.LOGITS, 0, np.zeros((64, 4, 1)))
 print(f"\nfull-size residual payload: {chw // 8} bytes vs {chw * 4} as float32 (x32)")
-print(f"a 64-row logits frame costs {len(encode_frame(logits))} bytes")
+
+# a stage-2 batch of 64 over 4 classes: the public side's logits, then the
+# private side's labels as uint16 class indices
+labels = Frame(FrameKind.LABELS, 0, np.arange(64)[:, None, None] % 4)
+print(f"a 64-row logits frame costs {len(encode_frame(logits))} bytes, "
+      f"the batch's labels frame {len(encode_frame(labels))} bytes")

@@ -278,7 +278,9 @@ def build_cache(residuals, params: PrivacyParams | None, seed: int, sigma: float
     module docstring), and the cache keeps only them and the id columns.  A
     sample's bits, as ``ResidualCache.bits`` unpacks them, equal
     ``quantize(perturb(r, sigma, seed, sample_id))`` byte for byte.
+    The seed is checked first, so an empty release refuses a bad seed too.
     """
+    seed = _uint64("seed", seed)
     if sigma is None:
         if params is None:
             raise ValueError("either params or an explicit sigma is required")

@@ -4,8 +4,9 @@ Frames are the only thing that crosses the boundary.  A frame is a
 22-byte header (magic ``DLTR``, version, kind, id, then c, h, w as
 little-endian u32) followed by a payload: residual tensors travel as
 bit-packed sign bits (channel-major, most significant bit first), logits
-and gradients as little-endian 64-bit floats.  Because the bit payload
-is ceil(c*h*w/8) bytes against the 4*c*h*w bytes of a hypothetical
+as little-endian 64-bit floats, and a stage-2 batch's labels as
+little-endian 16-bit class indices.  Because the bit payload is
+ceil(c*h*w/8) bytes against the 4*c*h*w bytes of a hypothetical
 32-bit-float transmission, the wire realizes the 32x compression exactly
 whenever c*h*w is a multiple of eight.
 
@@ -13,13 +14,18 @@ Both endpoints derive the stage-2 batch schedule from the shared seed,
 so no sample ids ever travel during training; the transcript records
 every frame with its phase, and the audit enforces the phase whitelists:
 stage 1 is silent, cache-build carries only residual bits, stage 2 only
-logits and gradients, inference only residual bits and logits.
+logits and labels, inference only residual bits and logits.  In stage 2
+the public side sends each batch's residual logits, the private side
+answers with the batch's labels, and the public side forms its own
+gradient softmax(z_res) - y from the two: the labels frame is, on the
+wire, exactly what the public side learns.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import select
 import socket
 import struct
 from array import array
@@ -55,6 +61,12 @@ _HEADER = struct.Struct("<4sBBIIII")
 _RECV_CHUNK = 1 << 16  # largest single socket read
 # seconds a socket read may wait on a silent peer before the frame is refused
 SOCKET_TIMEOUT_S = 60.0
+# bytes a socket channel holds unread in one direction before it decides
+# the peer stopped reading
+_UNREAD_LIMIT = 1 << 23
+# a labels frame carries uint16 class indices, so a model has at most this
+# many classes
+MAX_CLASSES = 1 << 16
 
 PHASES = ("stage1", "cache-build", "stage2", "inference")
 
@@ -62,7 +74,7 @@ PHASES = ("stage1", "cache-build", "stage2", "inference")
 PHASE_WHITELIST = {
     "stage1": frozenset(),
     "cache-build": frozenset({"residual-bits"}),
-    "stage2": frozenset({"logits", "gradient"}),
+    "stage2": frozenset({"logits", "labels"}),
     "inference": frozenset({"residual-bits", "logits"}),
 }
 
@@ -74,7 +86,9 @@ class ProtocolViolation(RuntimeError):
 class FrameKind(IntEnum):
     RESIDUAL_BITS = 1
     LOGITS = 2
-    GRADIENT = 3
+    # code 3 was a float gradient frame; a peer that still sends it is
+    # refused as an unknown kind
+    LABELS = 4
 
     @property
     def wire_name(self) -> str:
@@ -84,15 +98,17 @@ class FrameKind(IntEnum):
 _KIND_NAMES = {
     FrameKind.RESIDUAL_BITS: "residual-bits",
     FrameKind.LOGITS: "logits",
-    FrameKind.GRADIENT: "gradient",
+    FrameKind.LABELS: "labels",
 }
+# element type of each kind's payload; residual bits are packed instead
+_PAYLOAD_DTYPES = {FrameKind.LOGITS: np.dtype("<f8"), FrameKind.LABELS: np.dtype("<u2")}
 
 
 @dataclass(frozen=True)
 class Frame:
     kind: FrameKind
     frame_id: int
-    data: np.ndarray  # (c, h, w); uint8 bits for RESIDUAL_BITS, f64 otherwise
+    data: np.ndarray  # (c, h, w); uint8 bits, f64 logits or (b, 1, 1) integer labels
 
     def __post_init__(self):
         if self.data.ndim != 3:
@@ -100,7 +116,7 @@ class Frame:
 
 
 def frame_from_rows(kind: FrameKind, frame_id: int, rows: np.ndarray) -> Frame:
-    """Wrap a (b, L) float matrix (logits or gradients) as a frame."""
+    """Wrap a (b, L) float matrix of logits as a frame."""
     rows = np.asarray(rows, dtype=np.float64)
     return Frame(kind, frame_id, rows.reshape(rows.shape[0], rows.shape[1], 1))
 
@@ -123,6 +139,18 @@ def _residual_bits(data) -> np.ndarray:
     raise ValueError("residual payload must be 0/1 bits")
 
 
+def _labels(data) -> np.ndarray:
+    """``data`` as little-endian uint16 class indices, refused unless it is
+    an integer array with every value in [0, 65535]: a float array, even
+    one holding whole numbers, is refused rather than cast."""
+    data = np.asarray(data)
+    if data.dtype.kind in "iu" and (
+        data.size == 0 or (data.min() >= 0 and data.max() < MAX_CLASSES)
+    ):
+        return data.astype("<u2")
+    raise ValueError(f"labels payload must be integers in [0, {MAX_CLASSES - 1}]")
+
+
 def _header(kind: FrameKind, frame_id: int, shape) -> bytes:
     return _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, int(kind), frame_id, *shape)
 
@@ -131,6 +159,8 @@ def encode_frame(frame: Frame) -> bytes:
     header = _header(frame.kind, frame.frame_id, frame.data.shape)
     if frame.kind == FrameKind.RESIDUAL_BITS:
         payload = pack_bits(_residual_bits(frame.data)).tobytes()
+    elif frame.kind == FrameKind.LABELS:
+        payload = _labels(frame.data).tobytes()
     else:
         payload = np.asarray(frame.data, dtype="<f8").tobytes()
     return header + payload
@@ -139,7 +169,7 @@ def encode_frame(frame: Frame) -> bytes:
 def _payload_length(kind: FrameKind, count: int) -> int:
     if kind == FrameKind.RESIDUAL_BITS:
         return (count + 7) // 8
-    return 8 * count
+    return _PAYLOAD_DTYPES[kind].itemsize * count
 
 
 def _parse_header(raw: bytes):
@@ -175,7 +205,7 @@ def _parse_frame(raw: bytes):
 def _frame_data(raw: bytes, kind: FrameKind, shape) -> np.ndarray:
     if kind == FrameKind.RESIDUAL_BITS:
         return unpack_bits(np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size), shape)
-    return np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(shape)
+    return np.frombuffer(raw, dtype=_PAYLOAD_DTYPES[kind], offset=_HEADER.size).reshape(shape)
 
 
 def decode_frame(raw: bytes) -> Frame:
@@ -210,46 +240,70 @@ class MemoryChannel:
 class SocketChannel:
     """The same frames over a pair of local stream sockets.
 
-    Lockstep scheduling keeps at most one small frame in flight per
-    direction, so a single-threaded driver never deadlocks on buffers.
-    Both ends time out after ``SOCKET_TIMEOUT_S``, so a peer that goes
-    silent while a frame is awaited is a protocol violation, not a hang.
+    The channel owns both ends and the driver is single-threaded, so a
+    receiver reads only after the sender's call has returned.  A send
+    therefore never waits: it writes what the socket takes at once and
+    keeps the rest, and every read first pushes the peer's kept bytes, so
+    a frame larger than the socket buffers still arrives whole.  More
+    than ``_UNREAD_LIMIT`` bytes kept in one direction means the peer
+    stopped reading, and a read that finds nothing to push and nothing to
+    read gives up after ``SOCKET_TIMEOUT_S``: either is a protocol
+    violation, not a hang.
     """
 
     def __init__(self):
         self._private_sock, self._public_sock = socket.socketpair()
         for sock in (self._private_sock, self._public_sock):
-            sock.settimeout(SOCKET_TIMEOUT_S)
+            sock.setblocking(False)
+        self._unsent = {"private": bytearray(), "public": bytearray()}
 
     def _sock(self, role: str) -> socket.socket:
         return self._private_sock if role == "private" else self._public_sock
 
     def send(self, sender: str, raw: bytes) -> None:
-        try:
-            self._sock(sender).sendall(raw)
-        except TimeoutError:
-            raise ProtocolViolation(f"peer stopped reading for {SOCKET_TIMEOUT_S}s") from None
+        unsent = self._unsent[sender]
+        unsent += raw
+        self._push(sender)
+        if len(unsent) > _UNREAD_LIMIT:
+            raise ProtocolViolation(
+                f"peer stopped reading: {len(unsent)} bytes unread, more than "
+                f"the {_UNREAD_LIMIT} a channel holds"
+            )
+
+    def _push(self, sender: str) -> None:
+        """Write as much of ``sender``'s kept bytes as its socket takes now."""
+        unsent = self._unsent[sender]
+        if unsent:
+            try:
+                sent = self._sock(sender).send(unsent)
+            except BlockingIOError:
+                return
+            del unsent[:sent]
 
     def recv(self, receiver: str) -> bytes:
-        sock = self._sock(receiver)
-        header = self._recv_exact(sock, _HEADER.size)
+        header = self._recv_exact(receiver, _HEADER.size)
         kind, _, c, h, w = _parse_header(header)
-        return header + self._recv_exact(sock, _payload_length(kind, c * h * w))
+        return header + self._recv_exact(receiver, _payload_length(kind, c * h * w))
 
-    @staticmethod
-    def _recv_exact(sock: socket.socket, count: int) -> bytes:
+    def _recv_exact(self, receiver: str, count: int) -> bytes:
         # bounded reads: a forged header's size allocates nothing up front,
         # only what the peer actually sends
+        sock = self._sock(receiver)
+        peer = "public" if receiver == "private" else "private"
         chunks = []
         got = 0
         while got < count:
+            self._push(peer)
             try:
                 chunk = sock.recv(min(count - got, _RECV_CHUNK))
-            except TimeoutError:
-                raise ProtocolViolation(
-                    f"peer silent for {SOCKET_TIMEOUT_S}s with {count - got} bytes "
-                    "of the frame unread"
-                ) from None
+            except BlockingIOError:
+                # nothing to read means nothing of the peer's is kept either
+                if not select.select([sock], [], [], SOCKET_TIMEOUT_S)[0]:
+                    raise ProtocolViolation(
+                        f"peer silent for {SOCKET_TIMEOUT_S}s with {count - got} bytes "
+                        "of the frame unread"
+                    ) from None
+                continue
             if not chunk:
                 raise ProtocolViolation("channel closed mid-frame")
             chunks.append(chunk)
@@ -537,10 +591,16 @@ def run_split_training(model: Model, params, buffers, data,
     nothing else.  ``asymsplit train`` scores the trained endpoints with
     ``training.evaluate_main`` and ``run_split_inference``.
     """
+    k = model.spec.num_classes
     if cfg.ep2 > 0 and not cfg.quantize:
         raise ProtocolViolation(
             "raw residual floats never travel: the unquantized ablation "
             "is an in-process-only configuration"
+        )
+    if cfg.ep2 > 0 and k > MAX_CLASSES:
+        raise ProtocolViolation(
+            f"a labels frame carries uint16 class indices: {k} classes are "
+            f"more than {MAX_CLASSES}"
         )
     wire = Wire(channel)
     (priv_p, priv_b), (pub_p, pub_b) = split_params(params, buffers)
@@ -593,13 +653,13 @@ def run_split_training(model: Model, params, buffers, data,
                 frame_id, payload = wire.recv_packed("public", bits_shape)
                 public.store[frame_id] = payload
 
-        # stage 2: both sides derive the schedule; two frames per batch
+        # stage 2: both sides derive the schedule; two frames per batch, the
+        # public side's logits and the private side's labels
         wire.phase = "stage2"
         stepper_private = Stage2Private(
             model, private.params, private.buffers, cfg, state_private, report
         )
         stepper_public = Stage2Public(model, public.params, public.buffers, cfg, SgdState())
-        k = model.spec.num_classes
         y1h = one_hot(data.train_y, k)
         for epoch in range(cfg.ep2):
             stepper_private.begin_epoch(epoch)
@@ -618,11 +678,17 @@ def run_split_training(model: Model, params, buffers, data,
                 wire.send("public", frame_from_rows(FrameKind.LOGITS, batch_no, z_res))
 
                 z_frame = wire.recv("private", FrameKind.LOGITS, (len(idx_priv), k, 1))
-                g_res = stepper_private.finish(rows_from_frame(z_frame))
-                wire.send("private", frame_from_rows(FrameKind.GRADIENT, batch_no, g_res))
+                stepper_private.finish(rows_from_frame(z_frame))
+                wire.send("private", Frame(FrameKind.LABELS, batch_no,
+                                           data.train_y[idx_priv, None, None]))
 
-                g_frame = wire.recv("public", FrameKind.GRADIENT, (len(idx_pub), k, 1))
-                stepper_public.apply_gradient(rows_from_frame(g_frame))
+                labels = wire.recv("public", FrameKind.LABELS, (len(idx_pub), 1, 1)).data
+                if labels.max() >= k:
+                    raise ProtocolViolation(
+                        f"public endpoint got label {labels.max()} for a model of "
+                        f"{k} classes in batch {batch_no}"
+                    )
+                stepper_public.apply_gradient(labels[:, 0, 0])
             stepper_private.end_epoch()
 
     report.bytes_by_phase = wire.transcript.bytes_by_phase()

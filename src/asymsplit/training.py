@@ -4,10 +4,10 @@ Stage 1 trains the backbone and the main branch on ir_main alone; nothing
 leaves the private side.  Between stages every training residual is
 perturbed and quantized exactly once into the one-shot cache.  Stage 2
 continues training the main branch (on merged logits) while the residual
-branch trains on cached bits, exchanging only logits and its own softmax
-gradient g_res = softmax(z_res) - y, which is formed without ever reading
-z_main.  It does reveal the labels: the public side formed z_res, so
-y = softmax(z_res) - g_res gives it every stage-2 label.
+branch trains on cached bits, exchanging only its logits and the batch's
+labels: the public side forms its own softmax gradient
+g_res = softmax(z_res) - y, which never reads z_main.  So the public side
+learns every stage-2 label, and the labels frame shows exactly that.
 
 This module holds the steps; ``protocol.run_split_training`` is the one
 driver that runs them, with every frame crossing the wire.  The batch
@@ -105,14 +105,23 @@ def cross_entropy(z, y_onehot) -> float:
     return float(-np.mean(np.sum(y_onehot * log_probs, axis=-1)))
 
 
+def main_gradient(z_main, z_res, y_onehot, alpha: float) -> np.ndarray:
+    """The main head's gradient, of the merged softmax: the private side's."""
+    z_merged = np.asarray(z_main, dtype=np.float64) + alpha * np.asarray(z_res, dtype=np.float64)
+    return softmax(z_merged) - np.asarray(y_onehot, dtype=np.float64)
+
+
+def residual_gradient(z_res, y_onehot) -> np.ndarray:
+    """The residual head's gradient, of its own softmax: the public side
+    forms it from the z_res it computed and the labels it was sent."""
+    return softmax(z_res) - np.asarray(y_onehot, dtype=np.float64)
+
+
 def private_backprop(z_main, z_res, y_onehot, alpha: float):
     """The gradient split: merged softmax for the main head, own softmax
-    for the residual head.  g_res never touches z_main."""
-    z_res = np.asarray(z_res, dtype=np.float64)
-    y = np.asarray(y_onehot, dtype=np.float64)
-    g_res = softmax(z_res) - y
-    g_main = softmax(np.asarray(z_main, dtype=np.float64) + alpha * z_res) - y
-    return g_main, g_res
+    for the residual head.  g_res never touches z_main.  In stage 2 each
+    side forms only its own half (``Stage2Private``, ``Stage2Public``)."""
+    return main_gradient(z_main, z_res, y_onehot, alpha), residual_gradient(z_res, y_onehot)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +252,10 @@ def compute_residuals(model: Model, params, buffers, xs, dcfg, batch_size: int,
 
 class Stage2Private:
     """Private-side batch step: train the main head on merged logits from
-    the batch's ir_main rows, emit g_res.  The backbone is frozen after
-    stage 1, so the caller hands in rows it formed once."""
+    the batch's ir_main rows and the public side's z_res.  It forms no
+    g_res: the public side forms that from the batch's labels.  The
+    backbone is frozen after stage 1, so the caller hands in rows it
+    formed once."""
 
     def __init__(self, model, params, buffers, cfg, state, report):
         self.model, self.params, self.buffers = model, params, buffers
@@ -261,7 +272,7 @@ class Stage2Private:
         z_main, cache = self.model.forward_main(self.params, self.buffers, ir_main, train=True)
         self._pending = (z_main, cache, yb1h)
 
-    def finish(self, z_res) -> np.ndarray:
+    def finish(self, z_res) -> None:
         z_main, cache, yb1h = self._pending
         self._pending = None
         alpha = self.model.spec.alpha
@@ -269,7 +280,7 @@ class Stage2Private:
         res_loss = cross_entropy(z_res, yb1h)
         if not math.isfinite(merged_loss) or not math.isfinite(res_loss):
             raise TrainingDiverged("stage-2 loss is not finite")
-        g_main, g_res = private_backprop(z_main, z_res, yb1h, alpha)
+        g_main = main_gradient(z_main, z_res, yb1h, alpha)
         grads = {}
         self.model.backward_main(
             self.params, cache, g_main / len(yb1h), grads, input_grad=False
@@ -278,7 +289,6 @@ class Stage2Private:
         sgd_step(self.params, grads, self.cfg, self.state, self.lr)
         self._losses_main.append(merged_loss)
         self._losses_res.append(res_loss)
-        return g_res
 
     def end_epoch(self) -> None:
         self.report.stage2_main_loss.append(float(np.mean(self._losses_main)))
@@ -287,14 +297,16 @@ class Stage2Private:
 
 class Stage2Public:
     """Public-side batch step: residual logits from the batch's released
-    bits, then the received gradient applied to the residual branch."""
+    bits, then g_res = softmax(z_res) - y from those logits and the
+    batch's received labels, applied to the residual branch.  The private
+    side reads the same z_res as the float64 the logits frame carries, so
+    both sides' gradients come from the same values."""
 
     def __init__(self, model, params, buffers, cfg, state):
         self.model, self.params, self.buffers = model, params, buffers
         self.cfg, self.state = cfg, state
         self.lr = cfg.lr
-        self._cache = None
-        self._batch = 0
+        self._cache = self._z_res = None
 
     def begin_epoch(self, epoch: int) -> None:
         self.lr = cosine_lr(self.cfg.lr, epoch, self.cfg.ep2)
@@ -302,13 +314,16 @@ class Stage2Public:
     def logits(self, bits) -> np.ndarray:
         """z_res of a (b, c, h, w) batch of the residual branch's inputs."""
         z_res, cache = self.model.forward_res(self.params, self.buffers, bits, train=True)
-        self._cache, self._batch = cache, len(bits)
+        self._cache, self._z_res = cache, z_res
         return z_res
 
-    def apply_gradient(self, g_res) -> None:
+    def apply_gradient(self, labels) -> None:
+        """One step on the batch's class indices, in the order of its bits."""
+        y1h = one_hot(labels, self.model.spec.num_classes)
+        g_res = residual_gradient(self._z_res, y1h) / len(y1h)
         grads = {}
-        self.model.backward_res(self.params, self._cache, np.asarray(g_res) / self._batch, grads)
-        self._cache = None
+        self.model.backward_res(self.params, self._cache, g_res, grads)
+        self._cache = self._z_res = None
         sgd_step(self.params, grads, self.cfg, self.state, self.lr)
 
 

@@ -55,6 +55,7 @@ def train_in_process(model, params, buffers, data, dcfg, cfg) -> TrainReport:
             ir_main, _ = decompose_main_batch(feats, dcfg)
             private.prepare(ir_main, y1h[idx])
             bits = np.stack([store[int(i)] for i in idx])
-            public.apply_gradient(private.finish(public.logits(bits)))
+            private.finish(public.logits(bits))
+            public.apply_gradient(data.train_y[idx])
         private.end_epoch()
     return report

@@ -330,6 +330,17 @@ class TestBlockRelease:
         assert len(build_cache({}, BENCH_PARAMS, seed=0)) == 0
         assert len(build_cache({}, None, seed=0, sigma=0.7)) == 0
 
+    @pytest.mark.parametrize("count", [0, 1])
+    @pytest.mark.parametrize("with_gen", [False, True])
+    def test_seed_checked_on_every_path(self, count, with_gen):
+        # an empty release given a generator draws nothing and once let any
+        # seed through; every path refuses it before anything else
+        gen = noise_stream(0, 0) if with_gen else None
+        with pytest.raises(ValueError, match="seed must be an integer, got 0.5"):
+            build_cache(unit_residuals(range(count)), None, seed=0.5, sigma=1.0, gen=gen)
+        with pytest.raises(ValueError, match="seed must fit in uint64"):
+            build_cache(unit_residuals(range(count)), None, seed=-1, sigma=1.0, gen=gen)
+
     @pytest.mark.parametrize("bad, params, match", [
         (math.nan, None, "non-finite"),
         (math.inf, None, "non-finite"),

@@ -23,7 +23,6 @@ from asymsplit.model import (
     load_checkpoint,
     private_forward,
     save_checkpoint,
-    softmax,
 )
 from asymsplit.privacy import pack_bits, perturb, quantize, unpack_bits
 from asymsplit.protocol import (
@@ -91,7 +90,7 @@ class TestFrameCodec:
             assert back.frame_id == trial
             assert np.array_equal(back.data, frame.data)
 
-    @pytest.mark.parametrize("kind", [FrameKind.LOGITS, FrameKind.GRADIENT])
+    @pytest.mark.parametrize("kind", [FrameKind.LOGITS])
     def test_roundtrip_floats(self, kind):
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(16, 4))
@@ -99,11 +98,48 @@ class TestFrameCodec:
         assert back.kind == kind and back.frame_id == 9
         assert rows_from_frame(back).tobytes() == rows.tobytes()
 
-    def test_kind_four_rejected_by_decode(self):
-        raw = bytearray(encode_frame(Frame(FrameKind.LOGITS, 5, np.zeros((0, 0, 0)))))
-        raw[5] = 4
-        with pytest.raises(ValueError, match="unknown frame kind 4 at offset 5"):
-            decode_frame(bytes(raw))
+    @pytest.mark.parametrize("b", [1, 128])
+    def test_roundtrip_labels(self, b):
+        # (b, 1, 1) little-endian uint16 class indices: 2 bytes per sample
+        labels = np.random.default_rng(b).integers(0, 1 << 16, size=b)
+        labels[-1] = 65535
+        raw = encode_frame(Frame(FrameKind.LABELS, 7, labels[:, None, None]))
+        assert len(raw) == HEADER_BYTES + 2 * b
+        assert raw[5] == 4
+        assert raw[HEADER_BYTES:] == labels.astype("<u2").tobytes()
+        assert raw[-2:] == b"\xff\xff"
+        back = decode_frame(raw)
+        assert back.kind == FrameKind.LABELS and back.frame_id == 7
+        assert back.data.shape == (b, 1, 1) and back.data.dtype == np.dtype("<u2")
+        np.testing.assert_array_equal(back.data[:, 0, 0], labels)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64, np.uint64])
+    def test_labels_of_any_integer_dtype_encode_alike(self, dtype):
+        labels = np.array([3, 0, 255, 1], dtype=dtype)[:, None, None]
+        assert encode_frame(Frame(FrameKind.LABELS, 1, labels)) == (
+            encode_frame(Frame(FrameKind.LABELS, 1, labels.astype(np.uint16)))
+        )
+
+    @pytest.mark.parametrize("value, dtype", [
+        (3.5, np.float64), (np.nan, np.float64), (2.0, np.float64), (1.0, np.float32),
+        (-1, np.int64), (-1, np.int8), (65536, np.int64), (2**64 - 1, np.uint64),
+        (True, np.bool_),
+    ])
+    def test_rejects_labels_outside_uint16(self, value, dtype):
+        # a cast to uint16 ahead of the check would send -1 as 65535 and
+        # 65536 as 0; a float is refused even when it holds a whole number
+        bad = np.zeros((4, 1, 1), dtype=dtype)
+        bad[2, 0, 0] = value
+        with pytest.raises(ValueError, match=r"labels payload must be integers in \[0, 65535\]"):
+            encode_frame(Frame(FrameKind.LABELS, 0, bad))
+
+    def test_retired_and_unused_kinds_rejected_by_decode(self):
+        # 3 was the float gradient frame's code; 5 was never used
+        for code in (3, 5):
+            raw = bytearray(encode_frame(Frame(FrameKind.LOGITS, 5, np.zeros((0, 0, 0)))))
+            raw[5] = code
+            with pytest.raises(ValueError, match=f"unknown frame kind {code} at offset 5"):
+                decode_frame(bytes(raw))
 
     def test_encode_injective_on_payload(self):
         a = np.array([[[1, 0], [0, 0]]], dtype=np.uint8)
@@ -147,11 +183,20 @@ class TestFrameCodec:
             encode_frame(Frame(FrameKind.RESIDUAL_BITS, 3, bits))
         )
 
-    def test_kind_four_rejected_by_socket(self):
-        raw = bytearray(encode_frame(Frame(FrameKind.LOGITS, 0, np.zeros((0, 0, 0)))))
-        raw[5] = 4
-        with pytest.raises(ValueError, match="unknown frame kind 4 at offset 5"):
-            socket_recv_forged(bytes(raw))
+    def test_retired_and_unused_kinds_rejected_by_socket(self):
+        for code in (3, 5):
+            raw = bytearray(encode_frame(Frame(FrameKind.LOGITS, 0, np.zeros((0, 0, 0)))))
+            raw[5] = code
+            with pytest.raises(ValueError, match=f"unknown frame kind {code} at offset 5"):
+                socket_recv_forged(bytes(raw))
+
+    def test_every_kind_has_a_phase_and_every_phase_name_a_kind(self):
+        # a kind that no phase allows is one nothing may send, and a
+        # whitelisted name without a kind is one nothing can send
+        kinds = {kind.wire_name for kind in FrameKind}
+        allowed = set().union(*protocol.PHASE_WHITELIST.values())
+        assert kinds == allowed
+        assert set(protocol.PHASE_WHITELIST) == set(protocol.PHASES)
 
     def test_frame_requires_three_dims(self):
         with pytest.raises(ValueError, match="c, h, w"):
@@ -272,7 +317,7 @@ class TestChannels:
     def test_socket_huge_dims_then_close_is_a_violation(self):
         # a forged header claiming ~2**99 payload bytes must not size any
         # allocation from its dims; the peer closing ends the read
-        header = struct.pack("<4sBBIIII", b"DLTR", 1, int(FrameKind.GRADIENT), 0,
+        header = struct.pack("<4sBBIIII", b"DLTR", 1, int(FrameKind.LOGITS), 0,
                              2**32 - 1, 2**32 - 1, 2**32 - 1)
         with pytest.raises(ProtocolViolation, match="channel closed mid-frame"):
             socket_recv_forged(header + bytes(100))
@@ -281,7 +326,7 @@ class TestChannels:
         # a live peer sends a header claiming a large payload, then nothing:
         # the read gives up after SOCKET_TIMEOUT_S instead of blocking
         monkeypatch.setattr(protocol, "SOCKET_TIMEOUT_S", 0.2)
-        header = struct.pack("<4sBBIIII", b"DLTR", 1, int(FrameKind.GRADIENT), 0,
+        header = struct.pack("<4sBBIIII", b"DLTR", 1, int(FrameKind.LOGITS), 0,
                              1000, 1000, 1)
         ch = SocketChannel()
         try:
@@ -300,6 +345,27 @@ class TestChannels:
                 ch.send("private", bytes(1 << 24))
         finally:
             ch.close()
+
+    @pytest.mark.parametrize("sender, receiver", [("private", "public"), ("public", "private")])
+    def test_frame_larger_than_the_socket_buffer(self, monkeypatch, sender, receiver):
+        # one thread sends a 1 MiB frame, then reads it: the channel keeps
+        # what the socket cannot take and pushes it while the frame is read
+        monkeypatch.setattr(protocol, "SOCKET_TIMEOUT_S", 2.0)
+        rows = np.random.default_rng(5).normal(size=(1024, 128))
+        wire = Wire(SocketChannel())
+        try:
+            assert rows.nbytes > wire.channel._sock(sender).getsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF)
+            wire.send(sender, frame_from_rows(FrameKind.LOGITS, 3, rows))
+            back = wire.recv(receiver, FrameKind.LOGITS, (1024, 128, 1))
+            # the channel is left empty and in step for the next frame
+            wire.send(receiver, frame_from_rows(FrameKind.LOGITS, 4, rows[:2]))
+            assert rows_from_frame(wire.recv(sender, FrameKind.LOGITS)).tobytes() == (
+                rows[:2].tobytes())
+        finally:
+            wire.channel.close()
+        assert back.frame_id == 3 and rows_from_frame(back).tobytes() == rows.tobytes()
+        assert wire.transcript.entries[0].nbytes == HEADER_BYTES + rows.nbytes
 
     def test_wire_rejects_unexpected_kind(self):
         wire = Wire()
@@ -368,14 +434,14 @@ class TestTranscriptAudit:
         t = Transcript()
         t.record("private->public", "residual-bits", 278, "cache-build", 2048)
         t.record("public->private", "logits", 534, "stage2", 64)
-        t.record("private->public", "gradient", 534, "stage2", 64)
+        t.record("private->public", "labels", 54, "stage2", 16)
         t.record("private->public", "residual-bits", 278, "inference", 2048)
         t.record("public->private", "logits", 54, "inference", 4)
         report = audit(t)
         assert report.passed
         assert report.ratio == 32.0
         assert report.bytes_by_phase["stage1"] == 0
-        assert report.bytes_by_phase["stage2"] == 1068
+        assert report.bytes_by_phase["stage2"] == 588
 
     def test_ratio_counts_real_values_and_bytes(self):
         # a (1, 3, 3) frame: 9 values as float32 are 36 bytes, as bits 2
@@ -388,14 +454,14 @@ class TestTranscriptAudit:
     def test_injected_float_frame_fails_at_its_index(self):
         t = Transcript()
         t.record("private->public", "residual-bits", 278, "cache-build", 2048)
-        t.record("private->public", "gradient", 2070, "cache-build", 256)
+        t.record("private->public", "logits", 2070, "cache-build", 256)
         t.record("private->public", "residual-bits", 278, "cache-build", 2048)
         report = audit(t)
         assert not report.passed
         assert len(report.violations) == 1
         index, reason = report.violations[0]
         assert index == 1
-        assert "gradient" in reason and "cache-build" in reason
+        assert "logits" in reason and "cache-build" in reason
 
     def test_stage1_allows_nothing(self):
         t = Transcript()
@@ -763,20 +829,20 @@ class TestSplitTraining:
         stage2 = [e for e in entries if e.phase == "stage2"]
         batches_per_epoch = -(-n_train // cfg.batch_size)
         assert len(stage2) == 2 * batches_per_epoch * cfg.ep2
-        # both per-batch payloads are L*b doubles, in lockstep order
+        # per batch, L*b doubles of logits, then b uint16 labels, in lockstep order
         L = model.spec.num_classes
         batch_sizes = [
             len(idx)
             for epoch in range(cfg.ep2)
             for idx in batch_schedule(n_train, cfg.batch_size, cfg.seed, 2, epoch)
         ]
-        for b, logits_e, grad_e in zip(batch_sizes, stage2[::2], stage2[1::2]):
+        for b, logits_e, labels_e in zip(batch_sizes, stage2[::2], stage2[1::2]):
             assert logits_e.kind == "logits"
             assert logits_e.direction == "public->private"
             assert logits_e.nbytes == HEADER_BYTES + 8 * L * b
-            assert grad_e.kind == "gradient"
-            assert grad_e.direction == "private->public"
-            assert grad_e.nbytes == HEADER_BYTES + 8 * L * b
+            assert labels_e.kind == "labels"
+            assert labels_e.direction == "private->public"
+            assert labels_e.nbytes == HEADER_BYTES + 2 * b
 
         assert report.bytes_by_phase == wire.transcript.bytes_by_phase()
         assert audit(wire.transcript).passed
@@ -810,6 +876,43 @@ class TestSplitTraining:
             bits = np.unpackbits(np.frombuffer(entry, dtype=np.uint8), bitorder="big")
             assert bits.tobytes() == sent[sample_id].tobytes()
 
+    def test_wire_budget_in_closed_form(self):
+        # cache-build: one header and ceil(chw/8) bytes per sample; stage 2:
+        # per batch of b, 22 + 8kb bytes of logits and 22 + 2b of labels
+        data, model, params, buffers, cfg = tiny_setup(n=90, ep1=0, ep2=2)
+        report, _, _, _ = run_split_training(model, params, buffers, data, DCFG, cfg)
+        n, k = len(data.train_x), model.spec.num_classes
+        chw = model.spec.bb_channels * 16 * 16
+        sizes = [len(idx) for epoch in range(cfg.ep2)
+                 for idx in batch_schedule(n, cfg.batch_size, cfg.seed, 2, epoch)]
+        assert n % cfg.batch_size and sum(sizes) == cfg.ep2 * n
+        assert report.bytes_by_phase == {
+            "stage1": 0,
+            "cache-build": n * (HEADER_BYTES + -(-chw // 8)),
+            "stage2": sum((HEADER_BYTES + 8 * k * b) + (HEADER_BYTES + 2 * b) for b in sizes),
+            "inference": 0,
+        }
+
+    @pytest.mark.parametrize("classes, ep2, refused", [
+        (65537, 1, True), (65536, 1, False), (65537, 0, False),
+    ])
+    def test_more_classes_than_labels_frames_carry_refused_first(
+            self, monkeypatch, classes, ep2, refused):
+        # refused before stage 1 runs; a stage-1-only run sends no labels
+        class Reached(Exception):
+            pass
+
+        def stage1(*args):
+            raise Reached
+
+        monkeypatch.setattr(protocol, "run_stage1", stage1)
+        data = synthetic_dataset(n=20, seed=0)
+        model = Model(dataclasses.replace(default_spec(r=DCFG.r), num_classes=classes))
+        cfg = TrainConfig(ep1=1, ep2=ep2, batch_size=16)
+        with pytest.raises(ProtocolViolation if refused else Reached,
+                           match="65537 classes are more than 65536" if refused else None):
+            run_split_training(model, {}, {}, data, DCFG, cfg)
+
     def test_unquantized_config_refused(self):
         data, model, params, buffers, cfg = tiny_setup(n=32, quantize=False)
         with pytest.raises(ProtocolViolation, match="raw residual floats"):
@@ -835,15 +938,15 @@ class RecordingChannel(MemoryChannel):
 
 
 class TamperingChannel(MemoryChannel):
-    """A public side that cuts every logits frame it sends with ``cut``."""
+    """A peer that cuts every frame of ``kind`` it sends with ``cut``."""
 
-    def __init__(self, cut):
+    def __init__(self, cut, kind=FrameKind.LOGITS):
         super().__init__()
-        self.cut = cut
+        self.cut, self.kind = cut, kind
 
     def send(self, sender, raw):
         frame = decode_frame(raw)
-        if frame.kind == FrameKind.LOGITS:
+        if frame.kind == self.kind:
             raw = encode_frame(Frame(frame.kind, frame.frame_id, self.cut(frame.data)))
         super().send(sender, raw)
 
@@ -938,26 +1041,43 @@ class TestMisshapedFrames:
             run_split_training(model, params, buffers, data, DCFG, cfg,
                                channel=TamperingChannel(lambda d: d[:1]))
 
+    def test_labels_frame_missing_a_row_is_a_violation(self):
+        data, model, params, buffers, cfg = tiny_setup(n=32, ep2=1)
+        with pytest.raises(ProtocolViolation,
+                           match=r"'labels' frame of shape \(15, 1, 1\), expected \(16, 1, 1\)"):
+            run_split_training(model, params, buffers, data, DCFG, cfg,
+                               channel=TamperingChannel(lambda d: d[1:], FrameKind.LABELS))
+
+    def test_label_outside_the_classes_is_a_violation(self):
+        # label k would index past the public side's one-hot rows
+        def relabel(d):
+            d = d.copy()
+            d[3] = 4
+            return d
+
+        data, model, params, buffers, cfg = tiny_setup(n=32, ep2=1)
+        assert model.spec.num_classes == 4
+        with pytest.raises(ProtocolViolation, match="label 4 for a model of 4 classes in batch 0"):
+            run_split_training(model, params, buffers, data, DCFG, cfg,
+                               channel=TamperingChannel(relabel, FrameKind.LABELS))
+
 
 def test_public_side_recovers_every_stage2_label():
-    # g_res = softmax(z_res) - y, and the public side formed z_res itself:
-    # from its own frames and the shared schedule it reads every label
+    # the public side forms g_res = softmax(z_res) - y itself, so it is sent
+    # the labels: from those frames and the shared schedule it reads them all
     data, model, params, buffers, cfg = tiny_setup(n=120, ep2=1, epsilon=0.5)
     channel = RecordingChannel()
     run_split_training(model, params, buffers, data, DCFG, cfg, channel=channel)
-    logits = [f.data[..., 0] for who, f in channel.sent
-              if who == "public" and f.kind == FrameKind.LOGITS]
-    grads = [f.data[..., 0] for who, f in channel.sent
-             if who == "private" and f.kind == FrameKind.GRADIENT]
+    logits = [f for who, f in channel.sent if who == "public" and f.kind == FrameKind.LOGITS]
+    labels = [f.data[:, 0, 0] for who, f in channel.sent
+              if who == "private" and f.kind == FrameKind.LABELS]
     n = len(data.train_x)
     schedule = batch_schedule(n, cfg.batch_size, cfg.seed, 2, 0)
-    assert len(logits) == len(grads) == len(schedule)
+    assert len(logits) == len(labels) == len(schedule)
+    assert len(channel.sent) == n + 2 * len(schedule)
     recovered = np.full(n, -1)
-    for idx, z_res, g_res in zip(schedule, logits, grads):
-        y = softmax(z_res) - g_res
-        np.testing.assert_allclose(y, np.eye(model.spec.num_classes)[np.argmax(y, axis=1)],
-                                   atol=1e-12)
-        recovered[idx] = np.argmax(y, axis=1)
+    for idx, y in zip(schedule, labels):
+        recovered[idx] = y
     assert n == 96
     np.testing.assert_array_equal(recovered, data.train_y)
 

@@ -223,10 +223,10 @@ class TestTwoStage:
         assert len(report.stage1_loss) == 3 and len(report.stage2_main_loss) == 3
         assert report.sigma == 0.0 and report.accountant is None
         # bytes that crossed the wire: 22-byte headers, one bit per residual
-        # entry, two float rows per stage-2 batch
+        # entry, per stage-2 batch a float row and a uint16 label per sample
         n_train = len(synthetic_dataset(n=96, seed=0).train_x)
         batches = -(-n_train // 16)
-        stage2 = 3 * (2 * 22 * batches + 2 * 8 * model.spec.num_classes * n_train)
+        stage2 = 3 * (2 * 22 * batches + (8 * model.spec.num_classes + 2) * n_train)
         assert report.bytes_by_phase == {
             "stage1": 0,
             "cache-build": n_train * (22 + model.spec.bb_channels * 16 * 16 // 8),
