@@ -27,7 +27,7 @@ report, wire, private, public = run_split_training(model, params, buffers, data,
 print(f"\ncalibrated sigma = {report.sigma:.3f} at p = {report.p:.3f}")
 print("stage-1 loss: " + " ".join(f"{v:.3f}" for v in report.stage1_loss))
 print("stage-2 merged loss: " + " ".join(f"{v:.3f}" for v in report.stage2_main_loss))
-print(f"residual cache: {len(public.store)} packed bit payloads on the public side")
+print(f"residual cache: {len(public.store)} packed bit rows on the public side")
 
 # --- what actually crossed the wire --------------------------------------
 print("\nbytes by phase:")

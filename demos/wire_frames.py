@@ -34,6 +34,12 @@ chw = 8 * 16 * 16
 logits = Frame(FrameKind.LOGITS, 0, np.zeros((64, 4, 1)))
 print(f"\nfull-size residual payload: {chw // 8} bytes vs {chw * 4} as float32 (x32)")
 
+# cache-build sends a block of samples with consecutive ids as one frame:
+# dims (b, c*h*w, 1), one header for all b rows
+block = Frame(FrameKind.RESIDUAL_BLOCK, 0, np.zeros((128, chw, 1), np.uint8))
+print(f"128 samples in one residual-block frame: {len(encode_frame(block))} bytes, "
+      f"as 128 residual-bits frames: {128 * (22 + chw // 8)} bytes")
+
 # a stage-2 batch of 64 over 4 classes: the public side's logits, then the
 # private side's labels as uint16 class indices
 labels = Frame(FrameKind.LABELS, 0, np.arange(64)[:, None, None] % 4)

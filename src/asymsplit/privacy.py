@@ -244,6 +244,18 @@ class ResidualCache:
         block, row = divmod(i, self._step)
         return self._blocks[block][row]
 
+    def blocks(self) -> list:
+        """Each block as (first sample id, packed rows), in id order: the
+        payload of one residual-block frame.  A block whose ids are not
+        consecutive, which one first id cannot name, is refused."""
+        out = []
+        for lo, block in zip(range(0, len(self._ids), self._step), self._blocks):
+            first = self._ids[lo]
+            if self._ids[lo + len(block) - 1] - first != len(block) - 1:
+                raise ValueError(f"the block from sample id {first} has gaps in its ids")
+            out.append((first, block))
+        return out
+
     def bits(self, sample_id) -> np.ndarray:
         """The cached bit tensor for one sample, freshly unpacked and
         read-only; never re-perturbs."""

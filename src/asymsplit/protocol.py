@@ -1,24 +1,35 @@
 """Two-endpoint wire protocol for the private/public split.
 
 Frames are the only thing that crosses the boundary.  A frame is a
-22-byte header (magic ``DLTR``, version, kind, id, then c, h, w as
-little-endian u32) followed by a payload: residual tensors travel as
-bit-packed sign bits (channel-major, most significant bit first), logits
-as little-endian 64-bit floats, and a stage-2 batch's labels as
-little-endian 16-bit class indices.  Because the bit payload is
-ceil(c*h*w/8) bytes against the 4*c*h*w bytes of a hypothetical
-32-bit-float transmission, the wire realizes the 32x compression exactly
-whenever c*h*w is a multiple of eight.
+22-byte header (magic ``DLTR``, version, kind, id, then three
+little-endian u32 dims) followed by a payload.  There are four kinds:
+
+- ``residual-bits`` (1): one sample's (c, h, w) sign bits, bit-packed
+  (channel-major, most significant bit first) into ceil(c*h*w/8) bytes;
+- ``residual-block`` (5): b samples of consecutive ids, the id field
+  naming the first, with dims (b, c*h*w, 1) and b*ceil(c*h*w/8) bytes,
+  each row padded on its own (``pack_bits``' layout);
+- ``logits`` (2): a (b, k, 1) matrix of little-endian 64-bit floats;
+- ``labels`` (4): a stage-2 batch's (b, 1, 1) little-endian 16-bit
+  class indices.
+
+The last three share the (rows, row length, 1) dims convention.  Code 3
+was a float gradient frame: a peer that still sends it is refused as an
+unknown kind, as a peer that predates code 5 refuses a block.  A row of
+bits is ceil(c*h*w/8) bytes against the 4*c*h*w bytes of a hypothetical
+32-bit-float transmission, so the wire realizes the 32x compression
+exactly whenever c*h*w is a multiple of eight.
 
 Both endpoints derive the stage-2 batch schedule from the shared seed,
 so no sample ids ever travel during training; the transcript records
 every frame with its phase, and the audit enforces the phase whitelists:
-stage 1 is silent, cache-build carries only residual bits, stage 2 only
-logits and labels, inference only residual bits and logits.  In stage 2
-the public side sends each batch's residual logits, the private side
-answers with the batch's labels, and the public side forms its own
-gradient softmax(z_res) - y from the two: the labels frame is, on the
-wire, exactly what the public side learns.
+stage 1 is silent, cache-build carries only residual bits (the split
+driver sends one residual-block frame per released block), stage 2 only
+logits and labels, inference only residual bits (one residual-bits frame
+per request) and logits.  In stage 2 the public side sends each batch's
+residual logits, the private side answers with the batch's labels, and
+the public side forms its own gradient softmax(z_res) - y from the two:
+the labels frame is, on the wire, exactly what the public side learns.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ import socket
 import struct
 from array import array
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -73,7 +84,7 @@ PHASES = ("stage1", "cache-build", "stage2", "inference")
 # frame kinds allowed on the wire in each phase
 PHASE_WHITELIST = {
     "stage1": frozenset(),
-    "cache-build": frozenset({"residual-bits"}),
+    "cache-build": frozenset({"residual-bits", "residual-block"}),
     "stage2": frozenset({"logits", "labels"}),
     "inference": frozenset({"residual-bits", "logits"}),
 }
@@ -89,6 +100,7 @@ class FrameKind(IntEnum):
     # code 3 was a float gradient frame; a peer that still sends it is
     # refused as an unknown kind
     LABELS = 4
+    RESIDUAL_BLOCK = 5
 
     @property
     def wire_name(self) -> str:
@@ -99,8 +111,9 @@ _KIND_NAMES = {
     FrameKind.RESIDUAL_BITS: "residual-bits",
     FrameKind.LOGITS: "logits",
     FrameKind.LABELS: "labels",
+    FrameKind.RESIDUAL_BLOCK: "residual-block",
 }
-# element type of each kind's payload; residual bits are packed instead
+# element type of each kind's payload; residual bits and blocks are packed instead
 _PAYLOAD_DTYPES = {FrameKind.LOGITS: np.dtype("<f8"), FrameKind.LABELS: np.dtype("<u2")}
 
 
@@ -108,7 +121,9 @@ _PAYLOAD_DTYPES = {FrameKind.LOGITS: np.dtype("<f8"), FrameKind.LABELS: np.dtype
 class Frame:
     kind: FrameKind
     frame_id: int
-    data: np.ndarray  # (c, h, w); uint8 bits, f64 logits or (b, 1, 1) integer labels
+    # (c, h, w) uint8 bits, (b, c*h*w, 1) uint8 block bits, (b, k, 1) f64
+    # logits or (b, 1, 1) integer labels
+    data: np.ndarray
 
     def __post_init__(self):
         if self.data.ndim != 3:
@@ -161,15 +176,25 @@ def encode_frame(frame: Frame) -> bytes:
         payload = pack_bits(_residual_bits(frame.data)).tobytes()
     elif frame.kind == FrameKind.LABELS:
         payload = _labels(frame.data).tobytes()
-    else:
+    elif frame.kind == FrameKind.LOGITS:
         payload = np.asarray(frame.data, dtype="<f8").tobytes()
+    elif frame.data.shape[2] == 1:
+        # a block's (b, L, 1) as b samples of (L, 1, 1) bits: each row padded
+        # on its own
+        payload = pack_bits(_residual_bits(frame.data)[..., None]).tobytes()
+    else:
+        raise ValueError(f"residual-block data must be (b, c*h*w, 1), got {frame.data.shape}")
     return header + payload
 
 
-def _payload_length(kind: FrameKind, count: int) -> int:
+def _payload_length(kind: FrameKind, c: int, h: int, w: int) -> int:
+    """Payload bytes of a frame, from its header's dims alone."""
+    dtype = _PAYLOAD_DTYPES.get(kind)
+    if dtype is not None:
+        return dtype.itemsize * c * h * w
     if kind == FrameKind.RESIDUAL_BITS:
-        return (count + 7) // 8
-    return _PAYLOAD_DTYPES[kind].itemsize * count
+        return (c * h * w + 7) // 8
+    return c * ((h * w + 7) // 8)
 
 
 def _parse_header(raw: bytes):
@@ -186,6 +211,8 @@ def _parse_header(raw: bytes):
         kind = FrameKind(kind_code)
     except ValueError:
         raise ValueError(f"unknown frame kind {kind_code} at offset 5") from None
+    if w != 1 and kind == FrameKind.RESIDUAL_BLOCK:
+        raise ValueError(f"residual-block frame with w = {w}, not 1, at offset 18")
     return kind, frame_id, c, h, w
 
 
@@ -193,7 +220,7 @@ def _parse_frame(raw: bytes):
     """Check a whole frame's header and payload length.  Returns (kind,
     frame_id, (c, h, w))."""
     kind, frame_id, c, h, w = _parse_header(raw)
-    expected = _payload_length(kind, c * h * w)
+    expected = _payload_length(kind, c, h, w)
     if len(raw) != _HEADER.size + expected:
         raise ValueError(
             f"frame payload length {len(raw) - _HEADER.size} != expected {expected} "
@@ -203,9 +230,18 @@ def _parse_frame(raw: bytes):
 
 
 def _frame_data(raw: bytes, kind: FrameKind, shape) -> np.ndarray:
+    dtype = _PAYLOAD_DTYPES.get(kind)
+    if dtype is not None:
+        return np.frombuffer(raw, dtype=dtype, offset=_HEADER.size).reshape(shape)
     if kind == FrameKind.RESIDUAL_BITS:
         return unpack_bits(np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size), shape)
-    return np.frombuffer(raw, dtype=_PAYLOAD_DTYPES[kind], offset=_HEADER.size).reshape(shape)
+    return unpack_bits(_block_rows(raw, shape), shape[1:])
+
+
+def _block_rows(raw: bytes, shape) -> np.ndarray:
+    """A residual-block frame's payload as its (b, ceil(L/8)) packed rows."""
+    b, bits, _ = shape
+    return np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size).reshape(b, (bits + 7) // 8)
 
 
 def decode_frame(raw: bytes) -> Frame:
@@ -283,7 +319,7 @@ class SocketChannel:
     def recv(self, receiver: str) -> bytes:
         header = self._recv_exact(receiver, _HEADER.size)
         kind, _, c, h, w = _parse_header(header)
-        return header + self._recv_exact(receiver, _payload_length(kind, c * h * w))
+        return header + self._recv_exact(receiver, _payload_length(kind, c, h, w))
 
     def _recv_exact(self, receiver: str, count: int) -> bytes:
         # bounded reads: a forged header's size allocates nothing up front,
@@ -421,9 +457,10 @@ class AuditReport:
 def audit(transcript: Transcript) -> AuditReport:
     """Check every recorded frame against its phase whitelist.
 
-    The ratio field reports payload compression of the residual frames
-    against a 32-bit-float transmission of the same tensors: 4 bytes per
-    recorded value over the payload bytes recorded, 0.0 without any.
+    The ratio field reports payload compression of the residual frames,
+    single samples and blocks alike, against a 32-bit-float transmission
+    of the same tensors: 4 bytes per recorded value over the payload bytes
+    recorded, 0.0 without any.
     """
     violations = []
     residual_payload = residual_values = 0
@@ -433,7 +470,7 @@ def audit(transcript: Transcript) -> AuditReport:
                 (entry.index,
                  f"frame kind {entry.kind!r} not allowed in phase {entry.phase!r}")
             )
-        if entry.kind == "residual-bits":
+        if entry.kind in ("residual-bits", "residual-block"):
             residual_payload += entry.nbytes - _HEADER.size
             residual_values += entry.values
     ratio = 4 * residual_values / residual_payload if residual_payload else 0.0
@@ -456,20 +493,23 @@ class Wire:
     def send(self, sender: str, frame: Frame) -> None:
         self._send_raw(sender, frame.kind, encode_frame(frame), frame.data.size)
 
-    def send_packed(self, sender: str, frame_id: int, shape, payload) -> None:
-        """Send one residual-bits frame of (c, h, w) ``shape`` whose payload
-        is already packed (``pack_bits``' row layout, as ``ResidualCache``
-        holds it): the mirror of ``recv_packed``.  The payload is refused
-        unless it is exactly ceil(c*h*w/8) bytes."""
-        count = math.prod(shape)
-        expected = _payload_length(FrameKind.RESIDUAL_BITS, count)
-        nbytes = memoryview(payload).nbytes
-        if nbytes != expected:
+    def send_block(self, sender: str, first_id: int, rows, row_bits: int) -> None:
+        """Send b samples' bits, already packed, as one residual-block frame
+        whose rows carry ids first_id, first_id + 1, ...: the mirror of
+        ``recv_block``.  ``rows`` is a (b, ceil(row_bits/8)) uint8 array in
+        ``pack_bits``' layout, as ``ResidualCache`` holds a block; any other
+        shape or dtype is refused."""
+        rows = np.asarray(rows)
+        width = _payload_length(FrameKind.RESIDUAL_BLOCK, 1, row_bits, 1)
+        if rows.dtype != np.uint8 or rows.shape[1:] != (width,):
             raise ValueError(
-                f"packed payload of {nbytes} bytes for shape {tuple(shape)}, expected {expected}"
+                f"packed rows of shape {rows.shape} and dtype {rows.dtype} for "
+                f"{row_bits}-bit rows, expected (b, {width}) uint8"
             )
-        raw = b"".join((_header(FrameKind.RESIDUAL_BITS, frame_id, shape), payload))
-        self._send_raw(sender, FrameKind.RESIDUAL_BITS, raw, count)
+        shape = (len(rows), row_bits, 1)
+        raw = b"".join((_header(FrameKind.RESIDUAL_BLOCK, first_id, shape),
+                        np.ascontiguousarray(rows)))
+        self._send_raw(sender, FrameKind.RESIDUAL_BLOCK, raw, rows.shape[0] * row_bits)
 
     def _send_raw(self, sender: str, kind: FrameKind, raw: bytes, values: int) -> None:
         direction = "private->public" if sender == "private" else "public->private"
@@ -482,12 +522,18 @@ class Wire:
         raw, kind, frame_id, got = self._recv_raw(receiver, expect, shape)
         return Frame(kind, frame_id, _frame_data(raw, kind, got))
 
-    def recv_packed(self, receiver: str, shape) -> tuple:
-        """The next residual-bits frame for ``receiver``, checked as ``recv``
-        checks it, as (frame id, packed payload bytes): the bits as they
-        crossed the wire, never unpacked."""
-        raw, _, frame_id, _ = self._recv_raw(receiver, FrameKind.RESIDUAL_BITS, shape)
-        return frame_id, raw[_HEADER.size :]
+    def recv_block(self, receiver: str, row_bits: int) -> tuple:
+        """The next residual-block frame for ``receiver``, which must carry
+        rows of ``row_bits`` bits, as (first id, (b, ceil(row_bits/8)) packed
+        rows): the bits as they crossed the wire, a read-only view of the
+        frame, never unpacked."""
+        raw, _, first_id, shape = self._recv_raw(receiver, FrameKind.RESIDUAL_BLOCK, None)
+        if shape[1] != row_bits:
+            raise ProtocolViolation(
+                f"{receiver} endpoint got a 'residual-block' frame of shape {shape}, "
+                f"expected rows of {row_bits} bits in phase {self.phase!r}"
+            )
+        return first_id, _block_rows(raw, shape)
 
     def _recv_raw(self, receiver: str, expect: FrameKind, shape):
         raw = self.channel.recv(receiver)
@@ -535,14 +581,68 @@ class PrivateEndpoint:
         return bits, z_main[0]
 
 
+class ReleasedBits(Mapping):
+    """The public side's copy of a release: one packed (n, ceil(c*h*w/8))
+    uint8 array, filled a block of consecutive ids at a time.
+
+    A block reaching outside ids [0, n) or onto rows already filled, and a
+    release that ends with a row unfilled, are protocol violations.  Read
+    as a mapping, it takes each id 0..n-1, in order, to a read-only view of
+    that sample's packed row; ``take`` gathers a batch's rows.
+    """
+
+    def __init__(self, n: int = 0, row_bytes: int = 0):
+        self._rows = np.empty((n, row_bytes), dtype=np.uint8)
+        self._filled = np.zeros(n, dtype=bool)
+
+    def fill(self, first_id: int, rows: np.ndarray) -> None:
+        stop = first_id + len(rows)
+        if stop > len(self._filled):
+            raise ProtocolViolation(
+                f"public endpoint got residual rows for ids [{first_id}, {stop}), "
+                f"outside the release's [0, {len(self._filled)})"
+            )
+        if self._filled[first_id:stop].any():
+            raise ProtocolViolation(
+                f"public endpoint got residual rows for ids [{first_id}, {stop}), "
+                "some of them already filled"
+            )
+        self._rows[first_id:stop] = rows
+        self._filled[first_id:stop] = True
+
+    def seal(self) -> None:
+        """End the fill: every row must be filled, and all turn read-only."""
+        missing = np.flatnonzero(~self._filled)
+        if missing.size:
+            raise ProtocolViolation(
+                f"cache-build ended with {missing.size} of {len(self)} released rows "
+                f"unfilled, the first id {missing[0]}"
+            )
+        self._rows.flags.writeable = False
+
+    def take(self, ids) -> np.ndarray:
+        return np.take(self._rows, ids, axis=0)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self):
+        return iter(range(len(self._rows)))
+
+    def __getitem__(self, sample_id) -> np.ndarray:
+        if isinstance(sample_id, (int, np.integer)) and 0 <= sample_id < len(self._rows):
+            return self._rows[sample_id]
+        raise KeyError(sample_id)
+
+
 class PublicEndpoint:
     """Owns M_res and, after cache-build, the released residual bits:
-    ``store`` maps each sample id to the packed payload of the frame that
-    carried its bits."""
+    ``store``, a ``ReleasedBits`` holding every sample's packed row as the
+    residual-block frames carried it."""
 
     def __init__(self, model: Model, params, buffers):
         self.model, self.params, self.buffers = model, params, buffers
-        self.store = {}
+        self.store = ReleasedBits()
 
     def res_logits(self, bits: np.ndarray) -> np.ndarray:
         z, _ = self.model.forward_res(self.params, self.buffers, bits[None], train=False)
@@ -624,9 +724,10 @@ def run_split_training(model: Model, params, buffers, data,
         # cache-build: the release is formed batch by batch, so the private
         # side holds one batch of float residuals at a time; every batch is
         # checked against C before the first frame is sent, and then each
-        # batch's bits go out as one residual-bits frame per sample.  The
-        # same pass keeps every sample's ir_main on the private side: the
-        # backbone is frozen, so stage 2 reads these rows
+        # of the caches' packed blocks (at most RELEASE_CHUNK consecutive
+        # ids) goes out as one residual-block frame.  The same pass keeps
+        # every sample's ir_main on the private side: the backbone is
+        # frozen, so stage 2 reads these rows
         wire.phase = "cache-build"
         main_parts, released = [], deque()
         for lo in range(0, n, cfg.batch_size):
@@ -645,13 +746,16 @@ def run_split_training(model: Model, params, buffers, data,
         main_rows = np.concatenate(main_parts)
         del main_parts
         bits_shape = (model.spec.bb_channels, *data.train_x.shape[2:])
+        row_bits = math.prod(bits_shape)
+        # the public copy is allocated only now, after the release's float
+        # temporaries are freed
+        public.store = ReleasedBits(n, (row_bits + 7) // 8)
         while released:
             # a batch's bits are dropped once the public side holds its copies
-            cache = released.popleft()
-            for sample_id in cache.ids():
-                wire.send_packed("private", sample_id, bits_shape, cache.packed(sample_id))
-                frame_id, payload = wire.recv_packed("public", bits_shape)
-                public.store[frame_id] = payload
+            for first_id, rows in released.popleft().blocks():
+                wire.send_block("private", first_id, rows, row_bits)
+                public.store.fill(*wire.recv_block("public", row_bits))
+        public.store.seal()
 
         # stage 2: both sides derive the schedule; two frames per batch, the
         # public side's logits and the private side's labels
@@ -671,9 +775,7 @@ def run_split_training(model: Model, params, buffers, data,
             ):
                 stepper_private.prepare(main_rows[idx_priv], y1h[idx_priv])
                 # the public side unpacks each batch's released bits once
-                packed = b"".join(public.store[int(i)] for i in idx_pub)
-                bits = unpack_bits(np.frombuffer(packed, np.uint8).reshape(len(idx_pub), -1),
-                                   bits_shape)
+                bits = unpack_bits(public.store.take(idx_pub), bits_shape)
                 z_res = stepper_public.logits(bits)
                 wire.send("public", frame_from_rows(FrameKind.LOGITS, batch_no, z_res))
 

@@ -288,26 +288,33 @@ def test_communication_budget(verdict):
     model = Model(default_spec(r=BENCH_DCFG.r))
     params, buffers = model.init(0)
     cfg = TrainConfig(ep1=1, ep2=1, batch_size=16, epsilon=INF, seed=0)
-    _, wire, _, _ = run_split_training(model, params, buffers, data, BENCH_DCFG, cfg)
+    _, wire, _, public = run_split_training(model, params, buffers, data, BENCH_DCFG, cfg)
 
     report = audit(wire.transcript)
     stage1_silent = report.bytes_by_phase["stage1"] == 0
 
     floats = model.spec.bb_channels * 16 * 16
     payload = floats // 8
+    # one residual-block frame per training batch of b samples: every
+    # training sample carried exactly once, each frame 22 + b * payload bytes
     residual_frames = [
-        e for e in wire.transcript.entries if e.kind == "residual-bits"
+        e for e in wire.transcript.entries if e.phase == "cache-build"
     ]
+    rows = [e.values // floats for e in residual_frames]
     sizes_ok = (
-        len(residual_frames) == len(data.train_x)
-        and all(e.nbytes == 22 + payload for e in residual_frames)
+        all(e.kind == "residual-block" for e in residual_frames)
+        and all(e.values == b * floats for e, b in zip(residual_frames, rows))
+        and sum(rows) == len(data.train_x)
+        and list(public.store) == list(range(len(data.train_x)))
+        and all(e.nbytes == 22 + b * payload for e, b in zip(residual_frames, rows))
         and payload * 32 == floats * 4
     )
 
+    # a logits row is a kind that exists but that cache-build does not allow
     injected = Transcript()
     for e in wire.transcript.entries:
         injected.record(e.direction, e.kind, e.nbytes, e.phase, e.values)
-    injected.record("private->public", "gradient", 22 + floats * 8, "cache-build", floats)
+    injected.record("private->public", "logits", 22 + floats * 8, "cache-build", floats)
     bad = audit(injected)
 
     elapsed = time.perf_counter() - t0

@@ -456,6 +456,26 @@ class TestPackedCache:
         with pytest.raises(KeyError):
             cache.packed(len(ids))
 
+    def test_blocks_are_the_packed_rows_by_first_id(self):
+        # consecutive ids from 40: blocks of RELEASE_CHUNK rows, then the rest
+        ids = list(range(40, 40 + 2 * RELEASE_CHUNK + 3))
+        cache = build_cache(unit_residuals(ids[::-1], shape=(3, 5, 7)), None, seed=4, sigma=0.7)
+        blocks = cache.blocks()
+        assert [(first, rows.shape) for first, rows in blocks] == [
+            (40, (RELEASE_CHUNK, 14)), (40 + RELEASE_CHUNK, (RELEASE_CHUNK, 14)),
+            (40 + 2 * RELEASE_CHUNK, (3, 14))]
+        for first, rows in blocks:
+            assert not rows.flags.writeable
+            for j, row in enumerate(rows):
+                assert row.tobytes() == cache.packed(first + j).tobytes()
+        assert build_cache({}, None, seed=4, sigma=0.7).blocks() == []
+
+    def test_block_with_gaps_in_its_ids_refused(self):
+        # one first id cannot name the rows of ids 0, 2, 4, ...
+        cache = build_cache(unit_residuals([0, 2, 4], shape=(1, 2, 2)), None, seed=4, sigma=0.7)
+        with pytest.raises(ValueError, match="block from sample id 0 has gaps"):
+            cache.blocks()
+
     def test_repeated_sample_ids_refused(self):
         # two distinct keys with one integer value share one noise stream:
         # releasing both would add the same noise to two residuals

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import socket
 import struct
 import tracemalloc
@@ -134,12 +135,39 @@ class TestFrameCodec:
             encode_frame(Frame(FrameKind.LABELS, 0, bad))
 
     def test_retired_and_unused_kinds_rejected_by_decode(self):
-        # 3 was the float gradient frame's code; 5 was never used
-        for code in (3, 5):
+        # 3 was the float gradient frame's code; 6 was never used
+        for code in (3, 6):
             raw = bytearray(encode_frame(Frame(FrameKind.LOGITS, 5, np.zeros((0, 0, 0)))))
             raw[5] = code
             with pytest.raises(ValueError, match=f"unknown frame kind {code} at offset 5"):
                 decode_frame(bytes(raw))
+
+    @pytest.mark.parametrize("b, row_bits", [(1, 2048), (3, 9), (128, 2048), (0, 16)])
+    def test_roundtrip_block(self, b, row_bits):
+        # (b, L, 1): b rows of L bits, each padded to ceil(L/8) bytes on its own
+        bits = np.random.default_rng(b + row_bits).integers(0, 2, size=(b, row_bits, 1))
+        raw = encode_frame(Frame(FrameKind.RESIDUAL_BLOCK, 640, bits))
+        width = -(-row_bits // 8)
+        assert raw[5] == 5
+        assert struct.unpack_from("<IIII", raw, 6) == (640, b, row_bits, 1)
+        assert raw[HEADER_BYTES:] == pack_bits(bits[..., None]).tobytes()
+        assert len(raw) == HEADER_BYTES + b * width
+        back = decode_frame(raw)
+        assert back.kind == FrameKind.RESIDUAL_BLOCK and back.frame_id == 640
+        assert back.data.shape == (b, row_bits, 1) and back.data.dtype == np.uint8
+        assert back.data.tobytes() == bits.astype(np.uint8).tobytes()
+
+    def test_block_rows_are_the_single_frames_payloads(self):
+        # the block's payload is its samples' residual-bits payloads, in order
+        bits = np.random.default_rng(4).integers(0, 2, size=(5, 3, 3, 3)).astype(np.uint8)
+        raw = encode_frame(Frame(FrameKind.RESIDUAL_BLOCK, 0, bits.reshape(5, 27, 1)))
+        singles = [encode_frame(Frame(FrameKind.RESIDUAL_BITS, j, x))[HEADER_BYTES:]
+                   for j, x in enumerate(bits)]
+        assert raw[HEADER_BYTES:] == b"".join(singles)
+
+    def test_block_data_must_be_rows(self):
+        with pytest.raises(ValueError, match=r"\(b, c\*h\*w, 1\), got \(2, 8, 2\)"):
+            encode_frame(Frame(FrameKind.RESIDUAL_BLOCK, 0, np.zeros((2, 8, 2), np.uint8)))
 
     def test_encode_injective_on_payload(self):
         a = np.array([[[1, 0], [0, 0]]], dtype=np.uint8)
@@ -184,7 +212,7 @@ class TestFrameCodec:
         )
 
     def test_retired_and_unused_kinds_rejected_by_socket(self):
-        for code in (3, 5):
+        for code in (3, 6):
             raw = bytearray(encode_frame(Frame(FrameKind.LOGITS, 0, np.zeros((0, 0, 0)))))
             raw[5] = code
             with pytest.raises(ValueError, match=f"unknown frame kind {code} at offset 5"):
@@ -238,6 +266,30 @@ class TestDecodeErrors:
         with pytest.raises(ValueError, match="offset 22"):
             decode_frame(raw[:-4])
 
+    def block(self, b=4, row_bits=2048):
+        return encode_frame(Frame(FrameKind.RESIDUAL_BLOCK, 9, np.ones((b, row_bits, 1))))
+
+    @pytest.mark.parametrize("cut", [1, 256, 4 * 256])
+    def test_block_truncated_payload(self, cut):
+        with pytest.raises(ValueError, match=f"length {4 * 256 - cut} != expected 1024 at offset 22"):
+            decode_frame(self.block()[:-cut])
+
+    @pytest.mark.parametrize("b, row_bits, extra", [(4, 2048, 1), (4, 2048, -256), (3, 9, -2)])
+    def test_block_payload_not_rows_of_whole_bytes(self, b, row_bits, extra):
+        # b * ceil(L/8) bytes exactly: a byte more, a row fewer, or three
+        # 9-bit rows packed without per-row padding (4 bytes, not 6) is refused
+        raw = self.block(b, row_bits)
+        raw = raw + bytes(extra) if extra > 0 else raw[:extra]
+        expected = b * -(-row_bits // 8)
+        with pytest.raises(ValueError, match=f"!= expected {expected} at offset 22"):
+            decode_frame(raw)
+
+    def test_block_with_w_other_than_one(self):
+        raw = bytearray(self.block(2, 16))
+        struct.pack_into("<II", raw, 14, 8, 2)
+        with pytest.raises(ValueError, match="w = 2, not 1, at offset 18"):
+            decode_frame(bytes(raw))
+
 
 def socket_recv_forged(raw: bytes) -> bytes:
     """Send raw bytes to the public end of a SocketChannel, close the
@@ -254,27 +306,42 @@ def socket_recv_forged(raw: bytes) -> bytes:
 class TestPackedSend:
     @pytest.mark.parametrize("shape", [(8, 16, 16), (3, 5, 7), (1, 1, 1)])
     def test_packed_send_is_the_unpacked_send(self, shape):
-        # the same frame bytes and transcript row, with or without padding
-        bits = np.random.default_rng(sum(shape)).integers(0, 2, size=shape).astype(np.uint8)
+        # a block of packed rows goes out as the same frame bytes and
+        # transcript row as its unpacked bits, with or without padding, and
+        # comes back as those rows
+        rng = np.random.default_rng(sum(shape))
+        bits = rng.integers(0, 2, size=(5, *shape)).astype(np.uint8)
+        row_bits = math.prod(shape)
         unpacked, packed = Wire(), Wire()
         for wire in (unpacked, packed):
             wire.phase = "cache-build"
-        unpacked.send("private", Frame(FrameKind.RESIDUAL_BITS, 11, bits))
-        packed.send_packed("private", 11, shape, pack_bits(bits))
-        raw = packed.channel.recv("public")
-        assert raw == unpacked.channel.recv("public")
-        assert packed.transcript.to_csv() == unpacked.transcript.to_csv()
+        unpacked.send("private", Frame(FrameKind.RESIDUAL_BLOCK, 11, bits.reshape(5, -1, 1)))
+        packed.send_block("private", 11, pack_bits(bits), row_bits)
+        raw = unpacked.channel.recv("public")
+        assert packed.channel.recv("public") == raw
+        assert packed.transcript.entries == unpacked.transcript.entries
+        assert packed.transcript.entries[0].values == bits.size
         assert decode_frame(raw).data.tobytes() == bits.tobytes()
+        # the same bytes read back as their packed rows
+        packed.channel.send("private", raw)
+        first_id, rows = packed.recv_block("public", row_bits)
+        assert first_id == 11 and rows.shape == (5, -(-row_bits // 8))
+        assert rows.tobytes() == pack_bits(bits).tobytes() and not rows.flags.writeable
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_payload_of_another_length_refused(self, extra):
         wire = Wire()
-        payload = bytes(256 + extra)
-        with pytest.raises(ValueError, match=f"{256 + extra} bytes for shape"):
-            wire.send_packed("private", 0, (8, 16, 16), payload)
+        rows = np.zeros((4, 256 + extra), np.uint8)
+        with pytest.raises(ValueError, match=rf"shape \(4, {256 + extra}\) .* for 2048-bit rows"):
+            wire.send_block("private", 0, rows, 2048)
         assert len(wire.transcript.entries) == 0
         with pytest.raises(ProtocolViolation, match="channel empty"):
             wire.channel.recv("public")
+
+    @pytest.mark.parametrize("rows", [np.zeros((4, 256), np.int64), np.zeros(256, np.uint8)])
+    def test_rows_of_another_dtype_or_rank_refused(self, rows):
+        with pytest.raises(ValueError, match="expected \\(b, 256\\) uint8"):
+            Wire().send_block("private", 0, rows, 2048)
 
 
 class TestChannels:
@@ -321,6 +388,18 @@ class TestChannels:
                              2**32 - 1, 2**32 - 1, 2**32 - 1)
         with pytest.raises(ProtocolViolation, match="channel closed mid-frame"):
             socket_recv_forged(header + bytes(100))
+
+    def test_socket_huge_block_allocates_only_what_arrives(self):
+        # a forged residual-block header claiming 2**32 - 1 rows of 2**32 - 1
+        # bits sizes nothing: the read holds only the 64 KiB the peer sent
+        header = struct.pack("<4sBBIIII", b"DLTR", 1, int(FrameKind.RESIDUAL_BLOCK), 0,
+                             2**32 - 1, 2**32 - 1, 1)
+
+        def recv():
+            with pytest.raises(ProtocolViolation, match="channel closed mid-frame"):
+                socket_recv_forged(header + bytes(1 << 16))
+
+        assert traced_peak(recv) < 1 << 18
 
     def test_silent_peer_times_out_as_a_violation(self, monkeypatch):
         # a live peer sends a header claiming a large payload, then nothing:
@@ -390,12 +469,13 @@ HEADERS = st.builds(
     lambda *fields: struct.pack("<4sBBIIII", *fields),
     st.just(b"DLTR") | st.sampled_from([b"DLTX", bytes(4)]),
     st.just(1) | st.sampled_from([0, 255]),
-    st.integers(1, 3) | st.sampled_from([0, 4, 255]),
+    st.integers(1, 5) | st.sampled_from([0, 6, 255]),
     U32, U32, U32, U32,
 )
 PAYLOADS = st.binary(max_size=64)
 GOOD_HEADER = struct.pack("<4sBBIIII", b"DLTR", 1, 1, 0, 1, 1, 1)
 HUGE_HEADER = struct.pack("<4sBBIIII", b"DLTR", 1, 2, 0, 2**32 - 1, 2**32 - 1, 7)
+HUGE_BLOCK = struct.pack("<4sBBIIII", b"DLTR", 1, 5, 0, 2**32 - 1, 2**32 - 1, 1)
 FUZZ = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
 
@@ -403,6 +483,7 @@ class TestDecoderProperties:
     @FUZZ
     @given(st.binary(max_size=96) | st.builds(bytes.__add__, HEADERS, PAYLOADS))
     @example(HUGE_HEADER + bytes(8))
+    @example(HUGE_BLOCK + bytes(8))
     @example(GOOD_HEADER + b"\x80")
     def test_decode_frame_returns_frame_or_raises_value_error(self, raw):
         try:
@@ -414,6 +495,7 @@ class TestDecoderProperties:
     @FUZZ
     @given(HEADERS, PAYLOADS)
     @example(HUGE_HEADER, bytes(8))
+    @example(HUGE_BLOCK, bytes(8))
     @example(GOOD_HEADER, b"\x80")
     def test_socket_recv_of_forged_header(self, header, payload):
         try:
@@ -443,6 +525,14 @@ class TestTranscriptAudit:
         assert report.bytes_by_phase["stage1"] == 0
         assert report.bytes_by_phase["stage2"] == 588
 
+    def test_block_frames_count_in_the_ratio(self):
+        # a block of 128 rows of 2048 bits: 22 + 128 * 256 bytes, 32x exactly
+        t = Transcript()
+        t.record("private->public", "residual-block", 22 + 128 * 256, "cache-build", 128 * 2048)
+        t.record("private->public", "residual-bits", 278, "cache-build", 2048)
+        report = audit(t)
+        assert report.passed and report.ratio == 32.0
+
     def test_ratio_counts_real_values_and_bytes(self):
         # a (1, 3, 3) frame: 9 values as float32 are 36 bytes, as bits 2
         wire = Wire()
@@ -450,6 +540,11 @@ class TestTranscriptAudit:
         wire.send("private", Frame(FrameKind.RESIDUAL_BITS, 0, np.ones((1, 3, 3), np.uint8)))
         assert wire.transcript.entries[0].values == 9
         assert audit(wire.transcript).ratio == 36 / 2 == 18.0
+        # three (1, 3, 3) samples in one block: 27 values in 3 * 2 bytes
+        wire.phase = "cache-build"
+        wire.send("private", Frame(FrameKind.RESIDUAL_BLOCK, 0, np.ones((3, 9, 1), np.uint8)))
+        assert wire.transcript.entries[1].values == 27
+        assert audit(wire.transcript).ratio == 4 * 36 / 8 == 18.0
 
     def test_injected_float_frame_fails_at_its_index(self):
         t = Transcript()
@@ -462,6 +557,27 @@ class TestTranscriptAudit:
         index, reason = report.violations[0]
         assert index == 1
         assert "logits" in reason and "cache-build" in reason
+
+    def test_block_in_inference_fails_at_its_index(self):
+        # a request is one sample's residual-bits frame, never a block
+        t = Transcript()
+        t.record("private->public", "residual-bits", 278, "inference", 2048)
+        t.record("public->private", "logits", 54, "inference", 4)
+        t.record("private->public", "residual-block", 22 + 2 * 256, "inference", 2 * 2048)
+        t.record("public->private", "logits", 54, "inference", 4)
+        report = audit(t)
+        assert report.violations == (
+            (2, "frame kind 'residual-block' not allowed in phase 'inference'"),
+        )
+
+    def test_blocks_refused_outside_cache_build(self):
+        for phase in ("stage1", "stage2"):
+            t = Transcript()
+            t.record("private->public", "residual-block", 22 + 256, phase, 2048)
+            assert not audit(t).passed
+        t = Transcript()
+        t.record("private->public", "residual-block", 22 + 256, "cache-build", 2048)
+        assert audit(t).passed
 
     def test_stage1_allows_nothing(self):
         t = Transcript()
@@ -626,7 +742,7 @@ class TestSplitTraining:
             run_split_training(model, params, buffers, data, DCFG, cfg)
         (wire,) = wires
         assert wire.phase == "cache-build"
-        assert not [e for e in wire.transcript.entries if e.kind == "residual-bits"]
+        assert wire.transcript.entries == []
 
     def test_last_batch_over_bound_refuses_the_whole_release(self, monkeypatch):
         # every earlier batch passes the norm check and is perturbed; the
@@ -654,7 +770,7 @@ class TestSplitTraining:
         assert (n_batches - 1) * cfg.batch_size <= sample_id < len(data.train_x)
         (wire,) = wires
         assert wire.phase == "cache-build"
-        assert not [e for e in wire.transcript.entries if e.kind == "residual-bits"]
+        assert wire.transcript.entries == []
 
     def test_release_formed_one_batch_at_a_time(self, monkeypatch):
         # each batch's float residuals are formed and perturbed on their
@@ -710,7 +826,7 @@ class TestSplitTraining:
             run_split_training(model, params, buffers, data, DCFG, cfg)
         (wire,) = wires
         assert wire.phase == "cache-build"
-        assert not [e for e in wire.transcript.entries if e.kind == "residual-bits"]
+        assert wire.transcript.entries == []
 
     def test_stage2_reads_ir_main_rows_of_the_frozen_backbone(self, monkeypatch):
         # the rows each stage-2 step receives are the ones a per-batch
@@ -820,11 +936,16 @@ class TestSplitTraining:
         n_train = len(data.train_x)
 
         assert report.bytes_by_phase["stage1"] == 0
+        # one residual-block frame per training batch, in sample order
         cache = [e for e in entries if e.phase == "cache-build"]
-        assert len(cache) == n_train
+        sizes = [len(range(n_train)[lo : lo + cfg.batch_size])
+                 for lo in range(0, n_train, cfg.batch_size)]
+        assert len(cache) == len(sizes) > 1 and n_train % cfg.batch_size
         chw = model.spec.bb_channels * 16 * 16
-        assert all(e.kind == "residual-bits" for e in cache)
-        assert all(e.nbytes == HEADER_BYTES + chw // 8 for e in cache)
+        assert all(e.kind == "residual-block" for e in cache)
+        assert all(e.direction == "private->public" for e in cache)
+        assert [e.nbytes for e in cache] == [HEADER_BYTES + b * chw // 8 for b in sizes]
+        assert [e.values for e in cache] == [b * chw for b in sizes]
 
         stage2 = [e for e in entries if e.phase == "stage2"]
         batches_per_epoch = -(-n_train // cfg.batch_size)
@@ -848,24 +969,28 @@ class TestSplitTraining:
         assert audit(wire.transcript).passed
 
     def test_public_store_holds_wire_bits(self, monkeypatch):
-        # each entry is, byte for byte, the 256-byte payload of the frame
-        # that carried it, and unpacks to the 0/1 bits the private side sent
-        # (its cache's packed rows, which it sends without unpacking)
+        # each store row is, byte for byte, its slice of the payload of the
+        # block frame that carried it, and unpacks to the 0/1 bits the
+        # private side sent (its cache's packed rows, sent without unpacking)
         sent, payloads = {}, {}
-        real_send = protocol.Wire.send_packed
+        real_send = protocol.Wire.send_block
 
-        def send_spy(self, sender, frame_id, shape, payload):
-            sent[frame_id] = unpack_bits(np.asarray(payload), shape)
-            return real_send(self, sender, frame_id, shape, payload)
+        def send_spy(self, sender, first_id, rows, row_bits):
+            for j, row in enumerate(rows):
+                sent[first_id + j] = unpack_bits(row, (row_bits,))
+            return real_send(self, sender, first_id, rows, row_bits)
 
         class PayloadChannel(MemoryChannel):
             def send(self, sender, raw):
                 frame = decode_frame(raw)
-                if frame.kind == FrameKind.RESIDUAL_BITS:
-                    payloads[frame.frame_id] = raw[HEADER_BYTES:]
+                if frame.kind == FrameKind.RESIDUAL_BLOCK:
+                    b, row_bits, _ = frame.data.shape
+                    width = -(-row_bits // 8)
+                    for j in range(b):
+                        payloads[frame.frame_id + j] = raw[HEADER_BYTES:][j * width:][:width]
                 super().send(sender, raw)
 
-        monkeypatch.setattr(protocol.Wire, "send_packed", send_spy)
+        monkeypatch.setattr(protocol.Wire, "send_block", send_spy)
         data, model, params, buffers, cfg = tiny_setup(n=32, ep2=1)
         _, _, _, public = run_split_training(
             model, params, buffers, data, DCFG, cfg, channel=PayloadChannel()
@@ -876,9 +1001,27 @@ class TestSplitTraining:
             bits = np.unpackbits(np.frombuffer(entry, dtype=np.uint8), bitorder="big")
             assert bits.tobytes() == sent[sample_id].tobytes()
 
+    def test_public_store_reads_as_a_mapping(self):
+        data, model, params, buffers, cfg = tiny_setup(n=48, ep1=0, ep2=1)
+        _, _, _, public = run_split_training(model, params, buffers, data, DCFG, cfg)
+        store, n = public.store, len(data.train_x)
+        ids = list(store)
+        assert ids == list(range(n)) and all(type(i) is int for i in ids)
+        assert len(store) == n and 0 in store and np.int64(n - 1) in store
+        for bad in (n, -1, "0", 1.0):
+            assert bad not in store
+            with pytest.raises(KeyError):
+                store[bad]
+        row = store[3]
+        assert row.dtype == np.uint8 and row.shape == (256,) and not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1
+        assert store.take([3, 0]).tobytes() == bytes(store[3]) + bytes(store[0])
+
     def test_wire_budget_in_closed_form(self):
-        # cache-build: one header and ceil(chw/8) bytes per sample; stage 2:
-        # per batch of b, 22 + 8kb bytes of logits and 22 + 2b of labels
+        # cache-build: one header per training batch and ceil(chw/8) bytes
+        # per sample; stage 2: per batch of b, 22 + 8kb bytes of logits and
+        # 22 + 2b of labels
         data, model, params, buffers, cfg = tiny_setup(n=90, ep1=0, ep2=2)
         report, _, _, _ = run_split_training(model, params, buffers, data, DCFG, cfg)
         n, k = len(data.train_x), model.spec.num_classes
@@ -888,7 +1031,7 @@ class TestSplitTraining:
         assert n % cfg.batch_size and sum(sizes) == cfg.ep2 * n
         assert report.bytes_by_phase == {
             "stage1": 0,
-            "cache-build": n * (HEADER_BYTES + -(-chw // 8)),
+            "cache-build": -(-n // cfg.batch_size) * HEADER_BYTES + n * -(-chw // 8),
             "stage2": sum((HEADER_BYTES + 8 * k * b) + (HEADER_BYTES + 2 * b) for b in sizes),
             "inference": 0,
         }
@@ -938,16 +1081,18 @@ class RecordingChannel(MemoryChannel):
 
 
 class TamperingChannel(MemoryChannel):
-    """A peer that cuts every frame of ``kind`` it sends with ``cut``."""
+    """A peer that cuts every frame of ``kind`` it sends with ``cut`` and
+    gives it the id ``renumber`` makes of its own."""
 
-    def __init__(self, cut, kind=FrameKind.LOGITS):
+    def __init__(self, cut, kind=FrameKind.LOGITS, renumber=lambda frame_id: frame_id):
         super().__init__()
-        self.cut, self.kind = cut, kind
+        self.cut, self.kind, self.renumber = cut, kind, renumber
 
     def send(self, sender, raw):
         frame = decode_frame(raw)
         if frame.kind == self.kind:
-            raw = encode_frame(Frame(frame.kind, frame.frame_id, self.cut(frame.data)))
+            raw = encode_frame(Frame(frame.kind, self.renumber(frame.frame_id),
+                                     self.cut(frame.data)))
         super().send(sender, raw)
 
 
@@ -1062,6 +1207,44 @@ class TestMisshapedFrames:
                                channel=TamperingChannel(relabel, FrameKind.LABELS))
 
 
+class TestReleasedBlocks:
+    """The public side takes a release only as n rows, each filled once."""
+
+    def run(self, **tamper):
+        data, model, params, buffers, cfg = tiny_setup(n=48, ep1=0, ep2=1)
+        assert len(data.train_x) == 38 and cfg.batch_size == 16
+        kwargs = {"cut": lambda d: d, "kind": FrameKind.RESIDUAL_BLOCK, **tamper}
+        return run_split_training(model, params, buffers, data, DCFG, cfg,
+                                  channel=TamperingChannel(**kwargs))
+
+    def test_block_past_the_last_id_is_a_violation(self):
+        # the last block, ids [32, 38), shifted by one row
+        with pytest.raises(ProtocolViolation,
+                           match=r"ids \[33, 39\), outside the release's \[0, 38\)"):
+            self.run(renumber=lambda i: i + 1 if i == 32 else i)
+
+    def test_block_at_a_huge_id_is_a_violation(self):
+        with pytest.raises(ProtocolViolation, match=r"ids \[4294967295, 4294967311\)"):
+            self.run(renumber=lambda i: 2**32 - 1)
+
+    def test_overlapping_blocks_are_a_violation(self):
+        with pytest.raises(ProtocolViolation,
+                           match=r"ids \[8, 24\), some of them already filled"):
+            self.run(renumber=lambda i: 8 if i == 16 else i)
+
+    def test_block_of_another_row_length_is_a_violation(self):
+        with pytest.raises(ProtocolViolation, match=r"shape \(16, 2040, 1\), "
+                           r"expected rows of 2048 bits in phase 'cache-build'"):
+            self.run(cut=lambda d: d[:, 8:])
+
+    def test_release_with_an_unfilled_row_is_a_violation(self):
+        # the two full blocks arrive one row short: ids 15 and 31 are never filled
+        with pytest.raises(ProtocolViolation,
+                           match="cache-build ended with 2 of 38 released rows unfilled, "
+                                 "the first id 15"):
+            self.run(cut=lambda d: d[:15] if len(d) == 16 else d)
+
+
 def test_public_side_recovers_every_stage2_label():
     # the public side forms g_res = softmax(z_res) - y itself, so it is sent
     # the labels: from those frames and the shared schedule it reads them all
@@ -1074,7 +1257,7 @@ def test_public_side_recovers_every_stage2_label():
     n = len(data.train_x)
     schedule = batch_schedule(n, cfg.batch_size, cfg.seed, 2, 0)
     assert len(logits) == len(labels) == len(schedule)
-    assert len(channel.sent) == n + 2 * len(schedule)
+    assert len(channel.sent) == -(-n // cfg.batch_size) + 2 * len(schedule)
     recovered = np.full(n, -1)
     for idx, y in zip(schedule, labels):
         recovered[idx] = y
@@ -1240,21 +1423,21 @@ class TestBoundedMemory:
         assert per_sample < 8 * 1024, per_sample
 
     def test_public_store_keeps_bits_packed(self):
-        # a sample's 2048 released bits rest as their 256-byte payload: the
-        # entries the store holds, dropped once the run is over, free at
-        # most 300 B per sample
+        # a sample's 2048 released bits rest as their 256-byte packed row:
+        # the store, dropped once the run is over, frees at most 300 B per
+        # sample
         data, model, params, buffers, cfg = tiny_setup(n=400, ep1=0, ep2=1, epsilon=0.5)
         tracemalloc.start()
         try:
             _, _, _, public = run_split_training(model, params, buffers, data, DCFG, cfg)
+            n = len(public.store)
             held = tracemalloc.get_traced_memory()[0]
-            for sample_id in public.store:
-                public.store[sample_id] = None
+            public.store = None
             freed = held - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(public.store) == len(data.train_x) == 320
-        assert freed / len(public.store) <= 300, freed / len(public.store)
+        assert n == len(data.train_x) == 320
+        assert 256 <= freed / n <= 300, freed / n
 
     def test_transcript_costs_tens_of_bytes_per_request(self):
         t = Transcript()

@@ -222,14 +222,15 @@ class TestTwoStage:
         assert report.stage2_res_loss[-1] < report.stage2_res_loss[0]
         assert len(report.stage1_loss) == 3 and len(report.stage2_main_loss) == 3
         assert report.sigma == 0.0 and report.accountant is None
-        # bytes that crossed the wire: 22-byte headers, one bit per residual
-        # entry, per stage-2 batch a float row and a uint16 label per sample
+        # bytes that crossed the wire: 22-byte headers, one residual-block
+        # frame per batch with one bit per residual entry, per stage-2 batch
+        # a float row and a uint16 label per sample
         n_train = len(synthetic_dataset(n=96, seed=0).train_x)
         batches = -(-n_train // 16)
         stage2 = 3 * (2 * 22 * batches + (8 * model.spec.num_classes + 2) * n_train)
         assert report.bytes_by_phase == {
             "stage1": 0,
-            "cache-build": n_train * (22 + model.spec.bb_channels * 16 * 16 // 8),
+            "cache-build": 22 * batches + n_train * model.spec.bb_channels * 16 * 16 // 8,
             "stage2": stage2,
             "inference": 0,
         }
